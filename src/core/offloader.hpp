@@ -25,16 +25,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "map/mapper.hpp"
 #include "obs/timeline.hpp"
-#include "runtime/dpu_pool.hpp"
+#include "runtime/banked_executor.hpp"
 #include "runtime/dpu_set.hpp"
-#include "runtime/kernel_session.hpp"
 #include "runtime/pipeline.hpp"
 
 namespace pimdnn::core {
@@ -139,78 +137,39 @@ public:
   MemSize out_stride() const { return out_stride_; }
 
   /// Cumulative host-side accounting across every batch run so far.
-  sim::HostXferStats host_stats() const {
-    sim::HostXferStats out = pool_.host_stats();
-    if (pool_alt_.has_value()) {
-      out += pool_alt_->host_stats();
-    }
-    return out;
-  }
+  sim::HostXferStats host_stats() const { return banks_.host_stats(); }
 
 private:
-  /// One in-flight batch or split sub-batch of the double-buffered path.
-  struct PendingBatch {
-    std::unique_ptr<runtime::KernelSession> session;
-    runtime::KernelSession::LaunchHandle handle;
-    runtime::DpuPool* pool = nullptr;
-    const std::vector<std::vector<std::uint8_t>>* items = nullptr;
-    std::uint32_t n_tasklets = 0;
-    runtime::OptLevel opt = runtime::OptLevel::O3;
-    std::uint32_t n_dpus = 0;
-    /// Items per DPU the resolved mapping chose (the gather and the
-    /// degraded fallback must group items exactly like the scatter did).
-    std::uint32_t per_dpu = 0;
-    unsigned bank = 0;
-    std::size_t item = 0;
-    /// Item sub-range this launch covers: [first, first + count) of
-    /// *items (the whole batch unless split).
-    std::size_t first = 0;
-    std::size_t count = 0;
-  };
+  using Items = std::vector<std::vector<std::uint8_t>>;
 
   sim::DpuProgram build_program() const;
-  /// CPU-path fallback for a degraded session: runs the same kernel on one
-  /// spare private DPU, chunk by chunk, over items [first, first + count)
-  /// — bit-identical to the pooled run. Writes outputs [0, count) of
-  /// `out.outputs` (pre-sized by the caller).
-  void run_host_fallback(const std::vector<std::vector<std::uint8_t>>& items,
-                         std::size_t first, std::size_t count,
-                         std::uint32_t per_dpu, std::uint32_t n_tasklets,
-                         runtime::OptLevel opt, OffloadResult& out) const;
-  /// Resolves the (items_per_dpu, tasklets, split) mapping for a batch of
-  /// `n_items` against `pool`'s health picture. `max_split > 1` only for
-  /// call sites that can execute a split plan.
-  map::MappingPlan resolve_batch_plan(runtime::DpuPool& pool,
-                                      std::size_t n_items,
-                                      std::uint32_t n_tasklets,
-                                      std::uint32_t max_split);
-  PendingBatch start_batch(runtime::DpuPool& pool,
-                           const std::vector<std::vector<std::uint8_t>>& items,
-                           std::size_t first, std::size_t count,
-                           const map::MappingPlan& plan,
-                           runtime::OptLevel opt,
-                           runtime::PipelineModel* model, unsigned bank,
-                           std::size_t item);
-  OffloadResult finish_batch(PendingBatch pending,
-                             runtime::PipelineModel* model);
-  /// Executes a split plan (`plan.split >= 2`) by carving the batch's DPU
-  /// groups into sub-launches double-buffered across pool_/pool_alt_ —
-  /// the same choreography run_pipelined uses across batches, turned
-  /// inward on one batch; bit-identical to the unsplit path.
-  OffloadResult run_split(const std::vector<std::vector<std::uint8_t>>& items,
-                          const map::MappingPlan& plan,
-                          runtime::OptLevel opt,
-                          runtime::PipelineModel* model,
-                          std::size_t item_base);
+  /// CPU-path fallback for a degraded chunk: runs the same kernel on one
+  /// spare private DPU, `per_dpu` items at a time, over items
+  /// [first, first + count) — bit-identical to the pooled run — appending
+  /// the outputs to `outputs`.
+  void run_host_fallback(const Items& items, std::size_t first,
+                         std::size_t count, std::uint32_t per_dpu,
+                         std::uint32_t n_tasklets, runtime::OptLevel opt,
+                         Items& outputs) const;
+  /// The plan request: resolves the (items_per_dpu, tasklets, split)
+  /// mapping for `items` against `pool`'s health picture (a lone batch may
+  /// split across both banks) and returns the job that runs it into `out`.
+  runtime::Job plan_job(const Items& items, OffloadResult& out,
+                        runtime::DpuPool& pool, bool may_split,
+                        std::uint32_t n_tasklets, runtime::OptLevel opt);
+  runtime::Started start_batch(const runtime::Chunk& c, const Items& items,
+                               const map::MappingPlan& plan,
+                               runtime::OptLevel opt);
+  void finish_batch(const runtime::Chunk& c, runtime::Started& started,
+                    const Items& items, const map::MappingPlan& plan,
+                    runtime::OptLevel opt, OffloadResult& out);
 
   WorkloadSpec spec_;
   ItemKernel kernel_;
   runtime::UpmemConfig sys_;
   MemSize in_stride_;
   MemSize out_stride_;
-  runtime::DpuPool pool_;
-  /// Second bank for run_pipelined, created on first use.
-  std::optional<runtime::DpuPool> pool_alt_;
+  runtime::BankedExecutor banks_;
 };
 
 } // namespace pimdnn::core

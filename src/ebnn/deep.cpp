@@ -11,7 +11,6 @@
 #include "map/space.hpp"
 #include "nn/bitpack.hpp"
 #include "nn/layers.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "runtime/host_timer.hpp"
 #include "runtime/kernel_session.hpp"
@@ -649,28 +648,26 @@ DeepEbnnHost::DeepEbnnHost(const DeepEbnnConfig& cfg,
       weights_(std::move(weights)),
       sys_(sys),
       dims_(deep_dims(cfg)),
-      pool_(sys) {
+      banks_(sys) {
   for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
     luts_.push_back(build_bn_binact_lut_range(-dims_[b].taps, dims_[b].taps,
                                               weights_.bn[b]));
+    conv_words_ += weights_.conv[b].size();
+    lut_bytes_ += luts_[b].table.size();
   }
   images_per_dpu_ = make_params(cfg_, dims_, sys_).capacity;
 }
 
-map::MappingPlan DeepEbnnHost::resolve_batch_plan(
-    runtime::DpuPool& pool, std::size_t n_images, std::uint32_t n_tasklets,
-    runtime::OptLevel opt, std::uint32_t max_split) {
-  require(n_images > 0, "DeepEbnnHost::run: empty batch");
+runtime::Job DeepEbnnHost::plan_job(const std::vector<Image>& images,
+                                    DeepEbnnBatchResult& out,
+                                    runtime::DpuPool& pool, bool may_split,
+                                    std::uint32_t n_tasklets,
+                                    runtime::OptLevel opt) {
+  require(!images.empty(), "DeepEbnnHost::run: empty batch");
   const DeepKernelParams params = make_params(cfg_, dims_, sys_);
   if (n_tasklets != 0) {
     require(n_tasklets >= 1 && n_tasklets <= params.capacity,
             "DeepEbnnHost::run: tasklets must be in [1, images_per_dpu]");
-  }
-  std::size_t conv_size = 0;
-  std::size_t lut_size = 0;
-  for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-    conv_size += weights_.conv[b].size();
-    lut_size += luts_[b].table.size();
   }
 
   // Resolve the (images_per_dpu, tasklets, split) mapping through
@@ -678,73 +675,54 @@ map::MappingPlan DeepEbnnHost::resolve_batch_plan(
   // default) is the auto sentinel; an explicit count pins the
   // capacity-filling mapping.
   map::BatchRequest mreq;
-  mreq.n_items = n_images;
+  mreq.n_items = images.size();
   mreq.capacity = params.capacity;
   mreq.kernel_cycles = [this, opt](std::uint32_t items, std::uint32_t t) {
     return estimate_deep_ebnn_wall_cycles(cfg_, items, t, opt);
   };
   mreq.item_in_bytes = params.image_stride;
   mreq.item_out_bytes = params.result_stride;
-  mreq.const_bytes_per_dpu =
-      conv_size * sizeof(std::uint32_t) + lut_size;
+  mreq.const_bytes_per_dpu = conv_words_ * sizeof(std::uint32_t) + lut_bytes_;
   mreq.pinned_tasklets = n_tasklets == 0 ? map::kAutoTasklets : n_tasklets;
-  mreq.max_split = max_split;
-  // Plan against the pool's health picture: quarantines shrink the usable
-  // capacity, reintegrations restore it (clean pools plan the full system).
-  if (pool.plan_capacity() < pool.config().total_dpus) {
-    mreq.limits.max_dpus = pool.plan_capacity();
-  }
-  return map::Mapper().plan_batch(mreq);
+  mreq.max_split = may_split ? map::kMaxSplitFactor : 1;
+  mreq.limits = map::pool_limits(pool);
+  const map::MappingPlan plan = map::Mapper().plan_batch(mreq);
+  return {KernelSession::dpus_for(images.size(), plan.items_per_dpu),
+          plan.split,
+          [this, &images, plan, opt](const runtime::Chunk& c) {
+            return start_batch(c, images, plan, opt);
+          },
+          [this, &images, plan, &out](const runtime::Chunk& c,
+                                      runtime::Started& started) {
+            finish_batch(c, started, images, plan, out);
+          }};
 }
 
-DeepEbnnHost::PendingBatch DeepEbnnHost::start_batch(
-    runtime::DpuPool& pool, const std::vector<Image>& images,
-    std::size_t first, std::size_t count, const map::MappingPlan& plan,
-    runtime::OptLevel opt, runtime::PipelineModel* model, unsigned bank,
-    std::size_t item) {
-  require(count > 0 && first + count <= images.size(),
-          "DeepEbnnHost::run: bad batch sub-range");
+runtime::Started DeepEbnnHost::start_batch(const runtime::Chunk& c,
+                                           const std::vector<Image>& images,
+                                           const map::MappingPlan& plan,
+                                           runtime::OptLevel opt) {
   const std::size_t img_bytes =
       static_cast<std::size_t>(cfg_.img_h) * cfg_.img_w;
   for (const auto& im : images) {
     require(im.size() == img_bytes, "DeepEbnnHost::run: wrong image size");
   }
   const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-
-  // Symbol sizes are needed to build the program even when the flattened
-  // payloads are not (the warm-batch path skips the uploads).
-  std::size_t conv_size = 0;
-  std::size_t lut_size = 0;
-  for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-    conv_size += weights_.conv[b].size();
-    lut_size += luts_[b].table.size();
-  }
-
-  const std::uint32_t n_tasklets = plan.n_tasklets;
   const std::uint32_t per_dpu = plan.items_per_dpu;
-  const auto n_dpus = KernelSession::dpus_for(count, per_dpu);
+  const runtime::Chunk::Window w = c.window(images.size(), per_dpu);
 
-  const sim::HostXferStats before = pool.host_stats();
-  PendingBatch pb;
-  pb.pool = &pool;
-  pb.images = &images;
-  pb.n_dpus = n_dpus;
-  pb.per_dpu = per_dpu;
-  pb.bank = bank;
-  pb.item = item;
-  pb.first = first;
-  pb.count = count;
-  pb.session = std::make_unique<KernelSession>(
-      pool, "ebnn_deep", n_dpus,
-      [&] { return make_deep_program(params, conv_size, lut_size); });
-  KernelSession& session = *pb.session;
+  const sim::HostXferStats before = c.pool.host_stats();
+  runtime::Started started;
+  started.session = std::make_unique<KernelSession>(
+      c.pool, "ebnn_deep", KernelSession::dpus_for(w.count, per_dpu),
+      [&] { return make_deep_program(params, conv_words_, lut_bytes_); });
+  KernelSession& session = *started.session;
   session.annotate(plan.obs_suffix());
-  // A split sub-launch is predicted to carry its share of the plan's
-  // transfer volume.
+  // A chunk is predicted to carry its share of the plan's transfer volume.
   session.set_predicted(plan.predicted.kernel_cycles,
                         (plan.predicted.to_dpu_seconds +
                          plan.predicted.from_dpu_seconds) *
-                            (static_cast<double>(count) /
+                            (static_cast<double>(w.count) /
                              static_cast<double>(images.size())));
 
   // Per-block weights and LUTs are WRAM constants: re-broadcast only when
@@ -752,8 +730,8 @@ DeepEbnnHost::PendingBatch DeepEbnnHost::start_batch(
   if (session.activation() != DpuPool::Activation::Active) {
     std::vector<std::uint32_t> conv_words;
     std::vector<std::uint8_t> lut_bytes;
-    conv_words.reserve(conv_size);
-    lut_bytes.reserve(lut_size);
+    conv_words.reserve(conv_words_);
+    lut_bytes.reserve(lut_bytes_);
     for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
       conv_words.insert(conv_words.end(), weights_.conv[b].begin(),
                         weights_.conv[b].end());
@@ -764,174 +742,97 @@ DeepEbnnHost::PendingBatch DeepEbnnHost::start_batch(
     session.broadcast("luts", lut_bytes.data(), lut_bytes.size());
   }
 
-  session.scatter_items("images", "meta", count, per_dpu,
+  session.scatter_items("images", "meta", w.count, per_dpu,
                         params.image_stride, img_bytes, [&](std::size_t i) {
-                          return images[first + i].data();
+                          return images[w.first + i].data();
                         });
 
-  if (model != nullptr) {
-    const sim::HostXferStats d =
-        sim::host_xfer_delta(pool.host_stats(), before);
-    model->xfer_stage(item, bank, d.to_dpu_seconds + d.load_seconds);
-  }
-  pb.handle = session.launch_async(n_tasklets, opt);
-  return pb;
+  const sim::HostXferStats d =
+      sim::host_xfer_delta(c.pool.host_stats(), before);
+  c.xfer(d.to_dpu_seconds + d.load_seconds);
+  started.handle = session.launch_async(plan.n_tasklets, opt);
+  return started;
 }
 
-DeepEbnnBatchResult DeepEbnnHost::finish_batch(
-    PendingBatch pending, runtime::PipelineModel* model) {
-  KernelSession& session = *pending.session;
-  const std::vector<Image>& images = *pending.images;
+void DeepEbnnHost::finish_batch(const runtime::Chunk& c,
+                                runtime::Started& started,
+                                const std::vector<Image>& images,
+                                const map::MappingPlan& plan,
+                                DeepEbnnBatchResult& out) {
+  KernelSession& session = *started.session;
   const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-  const std::uint32_t per_dpu = pending.per_dpu;
+  const std::uint32_t per_dpu = plan.items_per_dpu;
+  const runtime::Chunk::Window w = c.window(images.size(), per_dpu);
   const std::size_t feat_words =
       params.result_stride / sizeof(std::uint32_t);
   const std::size_t feat_bits =
       static_cast<std::size_t>(deep_feature_bits(cfg_));
 
-  DeepEbnnBatchResult out;
-  out.dpus_used = pending.n_dpus;
+  out.split = static_cast<std::uint32_t>(c.count);
+  out.dpus_used += session.n_dpus();
   out.images_per_dpu = per_dpu;
 
   runtime::HostTimer ht;
-  // A degraded session routes the batch through the reference model,
+  // A degraded session routes the chunk through the reference model,
   // which is bit-identical to the DPU kernel.
-  if (!pending.handle.wait()) {
+  if (!started.handle.wait()) {
     ht.start();
     DeepEbnnReference ref(cfg_, weights_);
-    for (std::size_t i = 0; i < pending.count; ++i) {
-      DeepEbnnActivations a = ref.infer(images[pending.first + i].data());
+    for (std::size_t i = 0; i < w.count; ++i) {
+      DeepEbnnActivations a = ref.infer(images[w.first + i].data());
       out.predicted.push_back(a.predicted);
       out.features.push_back(std::move(a.feature));
     }
-    out.host_tail_seconds = ht.elapsed();
-    out.launch = session.finish();
-    if (model != nullptr) {
-      model->host_stage(pending.item, out.host_tail_seconds);
-    }
-    return out;
+    const Seconds tail = ht.elapsed();
+    out.host_tail_seconds += tail;
+    c.fold(out.launch, session.finish());
+    c.host(tail);
+    return;
   }
 
   // Batched gather of the raw feature words, then the host tail per image.
-  const sim::HostXferStats before = pending.pool->host_stats();
-  std::vector<std::uint32_t> words(pending.count * feat_words);
+  const sim::HostXferStats before = c.pool.host_stats();
+  std::vector<std::uint32_t> words(w.count * feat_words);
   session.gather_items(
-      "results", pending.count, per_dpu, params.result_stride,
+      "results", w.count, per_dpu, params.result_stride,
       [&](std::size_t i, const std::uint8_t* slot) {
         std::memcpy(words.data() + i * feat_words, slot,
                     feat_words * sizeof(std::uint32_t));
       });
   const sim::HostXferStats gathered =
-      sim::host_xfer_delta(pending.pool->host_stats(), before);
+      sim::host_xfer_delta(c.pool.host_stats(), before);
 
   ht.start();
-  for (std::size_t i = 0; i < pending.count; ++i) {
-    const std::uint32_t* w = words.data() + i * feat_words;
+  for (std::size_t i = 0; i < w.count; ++i) {
+    const std::uint32_t* wd = words.data() + i * feat_words;
     std::vector<int> feature(feat_bits);
     for (std::size_t bit = 0; bit < feat_bits; ++bit) {
-      feature[bit] = static_cast<int>((w[bit / 32] >> (bit % 32)) & 1u);
+      feature[bit] = static_cast<int>((wd[bit / 32] >> (bit % 32)) & 1u);
     }
     // FC tail on the host using the reference weights.
     std::vector<float> logits(static_cast<std::size_t>(cfg_.classes),
                               0.0f);
-    for (int c = 0; c < cfg_.classes; ++c) {
+    for (int cl = 0; cl < cfg_.classes; ++cl) {
       float acc = 0.0f;
       for (std::size_t b = 0; b < feat_bits; ++b) {
-        acc += weights_.fc[static_cast<std::size_t>(c) * feat_bits + b] *
+        acc += weights_.fc[static_cast<std::size_t>(cl) * feat_bits + b] *
                (feature[b] != 0 ? 1.0f : -1.0f);
       }
-      logits[static_cast<std::size_t>(c)] = acc;
+      logits[static_cast<std::size_t>(cl)] = acc;
     }
     std::vector<float> probs(logits.size());
     nn::softmax(logits, probs);
     out.predicted.push_back(static_cast<int>(nn::argmax(probs)));
     out.features.push_back(std::move(feature));
   }
-  out.host_tail_seconds = ht.elapsed();
-  out.launch = session.finish();
+  const Seconds tail = ht.elapsed();
+  out.host_tail_seconds += tail;
+  const runtime::LaunchStats stats = session.finish();
+  c.fold(out.launch, stats);
 
-  if (model != nullptr) {
-    model->dpu_stage(pending.item, pending.bank, out.launch.wall_seconds);
-    model->xfer_stage(pending.item, pending.bank,
-                      gathered.from_dpu_seconds);
-    model->host_stage(pending.item, out.host_tail_seconds);
-  }
-  return out;
-}
-
-DeepEbnnBatchResult DeepEbnnHost::run_split(
-    const std::vector<Image>& images, const map::MappingPlan& plan,
-    runtime::OptLevel opt, runtime::PipelineModel* model,
-    std::size_t item_base) {
-  const std::uint32_t per_dpu = plan.items_per_dpu;
-  const std::uint32_t n_dpus =
-      KernelSession::dpus_for(images.size(), per_dpu);
-  const std::vector<map::SplitRange> ranges =
-      map::split_ranges(n_dpus, plan.split);
-  if (ranges.size() <= 1) {
-    return finish_batch(start_batch(pool_, images, 0, images.size(), plan,
-                                    opt, model, 0, item_base),
-                        model);
-  }
-  if (!pool_alt_.has_value()) {
-    pool_alt_.emplace(sys_);
-  }
-  pool_.set_obs_bank(0);
-  pool_alt_->set_obs_bank(1);
-  runtime::DpuPool* banks[2] = {&pool_, &*pool_alt_};
-
-  DeepEbnnBatchResult out;
-  out.split = static_cast<std::uint32_t>(ranges.size());
-  out.images_per_dpu = per_dpu;
-  out.predicted.reserve(images.size());
-  out.features.reserve(images.size());
-
-  // Sub-launch s on bank s%2, at most two in flight, drained in chunk
-  // order; chunks cover contiguous ascending image ranges, so appending
-  // keeps input order (mirrors EbnnHost::run_split).
-  std::optional<PendingBatch> pending[2];
-  auto drain = [&](unsigned slot) {
-    if (!pending[slot].has_value()) {
-      return;
-    }
-    DeepEbnnBatchResult sub = finish_batch(std::move(*pending[slot]), model);
-    pending[slot].reset();
-    out.predicted.insert(out.predicted.end(), sub.predicted.begin(),
-                         sub.predicted.end());
-    for (auto& f : sub.features) {
-      out.features.push_back(std::move(f));
-    }
-    out.launch.merge(sub.launch);
-    out.dpus_used += sub.dpus_used;
-    out.host_tail_seconds += sub.host_tail_seconds;
-  };
-  try {
-    for (std::size_t s = 0; s < ranges.size(); ++s) {
-      const unsigned slot = static_cast<unsigned>(s % 2);
-      drain(slot);
-      const map::SplitRange& r = ranges[s];
-      const std::size_t first =
-          static_cast<std::size_t>(r.first_unit) * per_dpu;
-      const std::size_t count = std::min<std::size_t>(
-          static_cast<std::size_t>(r.n_units) * per_dpu,
-          images.size() - first);
-      pending[slot] = start_batch(*banks[slot], images, first, count, plan,
-                                  opt, model, slot, item_base + s);
-    }
-    drain(static_cast<unsigned>(ranges.size() % 2));
-    drain(static_cast<unsigned>((ranges.size() + 1) % 2));
-  } catch (...) {
-    for (auto& p : pending) {
-      if (p.has_value() && p->handle.valid()) {
-        try {
-          p->handle.wait();
-        } catch (...) {
-        }
-      }
-    }
-    throw;
-  }
-  return out;
+  c.kernel(stats.wall_seconds);
+  c.xfer(gathered.from_dpu_seconds);
+  c.host(tail);
 }
 
 DeepEbnnBatchResult DeepEbnnHost::run(const std::vector<Image>& images,
@@ -941,14 +842,11 @@ DeepEbnnBatchResult DeepEbnnHost::run(const std::vector<Image>& images,
   if (batch_sp.active()) {
     batch_sp.u64("n_images", images.size());
   }
-  const map::MappingPlan plan = resolve_batch_plan(
-      pool_, images.size(), n_tasklets, opt, map::kMaxSplitFactor);
-  if (plan.split > 1) {
-    return run_split(images, plan, opt, nullptr, 0);
-  }
-  return finish_batch(
-      start_batch(pool_, images, 0, images.size(), plan, opt, nullptr, 0, 0),
-      nullptr);
+  DeepEbnnBatchResult out;
+  banks_.run(1, [&](std::size_t, runtime::DpuPool& pool, bool may_split) {
+    return plan_job(images, out, pool, may_split, n_tasklets, opt);
+  });
+  return out;
 }
 
 DeepEbnnPipelineResult DeepEbnnHost::run_pipelined(
@@ -959,95 +857,21 @@ DeepEbnnPipelineResult DeepEbnnHost::run_pipelined(
   if (batches.empty()) {
     return out;
   }
-  obs::Span sp("deep_ebnn.pipeline", "pipeline");
-  if (sp.active()) {
-    sp.u64("n_batches", batches.size());
-  }
-  if (!pool_alt_.has_value()) {
-    pool_alt_.emplace(sys_);
-  }
-  runtime::DpuPool* banks[2] = {&pool_, &*pool_alt_};
-  banks[0]->set_obs_bank(0);
-  banks[1]->set_obs_bank(1);
-  runtime::PipelineModel model(2);
-  const bool tracing = obs::Tracer::enabled();
-  const double trace_since_us =
-      tracing ? obs::Tracer::instance().now_us() : 0.0;
-
-  // A lone batch cannot overlap with a neighbor, but a split plan can
-  // overlap with itself: carve it across the two banks instead.
-  bool ran_split = false;
-  if (batches.size() == 1) {
-    const map::MappingPlan plan = resolve_batch_plan(
-        pool_, batches[0].size(), n_tasklets, opt, map::kMaxSplitFactor);
-    if (plan.split > 1) {
-      out.batches[0] = run_split(batches[0], plan, opt, &model, 0);
-      ran_split = true;
-    }
-  }
-
-  std::optional<PendingBatch> pending[2];
-  try {
-    for (std::size_t i = 0; !ran_split && i < batches.size(); ++i) {
-      const unsigned bank = static_cast<unsigned>(i % 2);
-      if (pending[bank].has_value()) {
-        const std::size_t done = pending[bank]->item;
-        out.batches[done] =
-            finish_batch(std::move(*pending[bank]), &model);
-        pending[bank].reset();
-      }
-      const map::MappingPlan plan = resolve_batch_plan(
-          *banks[bank], batches[i].size(), n_tasklets, opt, 1);
-      pending[bank] = start_batch(*banks[bank], batches[i], 0,
-                                  batches[i].size(), plan, opt, &model,
-                                  bank, i);
-    }
-    // Drain in item order so the host-lane stages stay chronological.
-    for (unsigned b = 0; b < 2; ++b) {
-      const unsigned bank =
-          static_cast<unsigned>((batches.size() + b) % 2);
-      if (pending[bank].has_value()) {
-        const std::size_t done = pending[bank]->item;
-        out.batches[done] =
-            finish_batch(std::move(*pending[bank]), &model);
-        pending[bank].reset();
-      }
-    }
-  } catch (...) {
-    for (auto& p : pending) {
-      if (p.has_value() && p->handle.valid()) {
-        try {
-          p->handle.wait();
-        } catch (...) {
-        }
-      }
-    }
-    throw;
-  }
-
-  out.pipeline = model.stats();
-  if (sp.active()) {
-    sp.f64("makespan_ms", out.pipeline.makespan_seconds * 1e3);
-    sp.f64("speedup", out.pipeline.speedup());
-  }
-  if (tracing) {
-    const obs::Timeline tl = obs::Timeline::from_events(
-        obs::Tracer::instance().snapshot(), trace_since_us);
-    if (tl.stages() > 0) {
-      out.timeline = tl.report();
-      obs::record_drift("deep_ebnn", *out.timeline,
-                        out.pipeline.makespan_seconds,
-                        out.pipeline.overlap_efficiency());
-    }
-  }
-  if (obs::SloTracker::enabled()) {
-    for (const DeepEbnnBatchResult& b : out.batches) {
-      obs::SloTracker::instance().record(
-          "deep_ebnn.batch", (b.launch.host.host_seconds() +
-                              b.launch.wall_seconds + b.host_tail_seconds) *
-                                 1e3);
-    }
-  }
+  runtime::PipelineRun run("deep_ebnn", "n_batches", batches.size());
+  banks_.run(
+      batches.size(),
+      [&](std::size_t i, runtime::DpuPool& pool, bool may_split) {
+        return plan_job(batches[i], out.batches[i], pool, may_split,
+                          n_tasklets, opt);
+      },
+      &run.model());
+  out.pipeline =
+      run.close(out.timeline, "deep_ebnn.batch", [&](std::size_t i) {
+        const DeepEbnnBatchResult& b = out.batches[i];
+        return (b.launch.host.host_seconds() + b.launch.wall_seconds +
+                b.host_tail_seconds) *
+               1e3;
+      });
   return out;
 }
 

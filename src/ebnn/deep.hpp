@@ -16,16 +16,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
 #include "ebnn/model.hpp"
-#include "runtime/dpu_pool.hpp"
+#include "runtime/banked_executor.hpp"
 #include "runtime/dpu_set.hpp"
-#include "runtime/kernel_session.hpp"
 #include "runtime/pipeline.hpp"
 
 namespace pimdnn::ebnn {
@@ -166,72 +164,36 @@ public:
 
   /// Cumulative host-side accounting of the host's pools across every
   /// batch run so far.
-  sim::HostXferStats pool_host_stats() const {
-    sim::HostXferStats out = pool_.host_stats();
-    if (pool_alt_.has_value()) {
-      out += pool_alt_->host_stats();
-    }
-    return out;
-  }
+  sim::HostXferStats pool_host_stats() const { return banks_.host_stats(); }
 
 private:
-  /// One in-flight batch or split sub-batch (mirrors
-  /// EbnnHost::PendingBatch).
-  struct PendingBatch {
-    std::unique_ptr<runtime::KernelSession> session;
-    runtime::KernelSession::LaunchHandle handle;
-    runtime::DpuPool* pool = nullptr;
-    const std::vector<Image>* images = nullptr;
-    std::uint32_t n_dpus = 0;
-    /// Images per DPU the resolved mapping chose (the gather must use the
-    /// same slot count the scatter did).
-    std::uint32_t per_dpu = 0;
-    unsigned bank = 0;
-    std::size_t item = 0;
-    /// Image sub-range this launch covers: [first, first + count) of
-    /// *images (the whole batch unless split).
-    std::size_t first = 0;
-    std::size_t count = 0;
-  };
+  /// The plan request (see EbnnHost::plan_job). `n_tasklets == 0` (the
+  /// historical "fill the capacity" default) is the auto sentinel.
+  runtime::Job plan_job(const std::vector<Image>& images,
+                        DeepEbnnBatchResult& out, runtime::DpuPool& pool,
+                        bool may_split, std::uint32_t n_tasklets,
+                        runtime::OptLevel opt);
 
-  /// Resolves the (images_per_dpu, tasklets, split) mapping for a batch
-  /// of `n_images` against `pool`'s health picture. `max_split > 1` only
-  /// for call sites that can execute a split plan.
-  map::MappingPlan resolve_batch_plan(runtime::DpuPool& pool,
-                                      std::size_t n_images,
-                                      std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt,
-                                      std::uint32_t max_split);
+  runtime::Started start_batch(const runtime::Chunk& c,
+                               const std::vector<Image>& images,
+                               const map::MappingPlan& plan,
+                               runtime::OptLevel opt);
 
-  PendingBatch start_batch(runtime::DpuPool& pool,
-                           const std::vector<Image>& images,
-                           std::size_t first, std::size_t count,
-                           const map::MappingPlan& plan,
-                           runtime::OptLevel opt,
-                           runtime::PipelineModel* model, unsigned bank,
-                           std::size_t item);
-
-  DeepEbnnBatchResult finish_batch(PendingBatch pending,
-                                   runtime::PipelineModel* model);
-
-  /// Executes a split plan (`plan.split >= 2`) by carving the batch's DPU
-  /// groups into sub-launches double-buffered across pool_/pool_alt_
-  /// (mirrors EbnnHost::run_split; bit-identical to the unsplit path).
-  DeepEbnnBatchResult run_split(const std::vector<Image>& images,
-                                const map::MappingPlan& plan,
-                                runtime::OptLevel opt,
-                                runtime::PipelineModel* model,
-                                std::size_t item_base);
+  void finish_batch(const runtime::Chunk& c, runtime::Started& started,
+                    const std::vector<Image>& images,
+                    const map::MappingPlan& plan, DeepEbnnBatchResult& out);
 
   DeepEbnnConfig cfg_;
   DeepEbnnWeights weights_;
   runtime::UpmemConfig sys_;
   std::vector<DeepBlockDims> dims_;
   std::vector<BnBinactLut> luts_;
+  /// Conv words and LUT bytes over all blocks: the program's symbol sizes
+  /// and the broadcast volume.
+  std::size_t conv_words_ = 0;
+  std::size_t lut_bytes_ = 0;
   std::uint32_t images_per_dpu_;
-  runtime::DpuPool pool_;
-  /// Second bank for run_pipelined, created on first use.
-  std::optional<runtime::DpuPool> pool_alt_;
+  runtime::BankedExecutor banks_;
 };
 
 } // namespace pimdnn::ebnn

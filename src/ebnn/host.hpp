@@ -13,16 +13,16 @@
 // gathered in one batched transfer, and every batch's host-side overhead
 // lands in LaunchStats::host.
 //
-// `run_pipelined` double-buffers batches across two bank pools: batch i+1
-// is scattered onto the idle bank while batch i's kernel occupies the
-// other bank's DPUs (`KernelSession::launch_async`), so consecutive
-// batches' DPU phases overlap in the modeled timeline
-// (runtime::PipelineModel). Each bank's batches serialize and banks share
-// no mutable state, so outputs are bit-identical to serial `run` calls.
+// `run` and `run_pipelined` both go through runtime::BankedExecutor:
+// batch i+1 is scattered onto the idle bank while batch i's kernel
+// occupies the other bank's DPUs (`KernelSession::launch_async`), so
+// consecutive batches' DPU phases overlap in the modeled timeline
+// (runtime::PipelineModel), and a lone batch may split across both banks.
+// Each bank's launches serialize and banks share no mutable state, so
+// outputs are bit-identical to serial unsplit `run` calls.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,9 +30,8 @@
 #include "ebnn/model.hpp"
 #include "map/plan.hpp"
 #include "obs/timeline.hpp"
-#include "runtime/dpu_pool.hpp"
+#include "runtime/banked_executor.hpp"
 #include "runtime/dpu_set.hpp"
-#include "runtime/kernel_session.hpp"
 #include "runtime/pipeline.hpp"
 
 namespace pimdnn::ebnn {
@@ -112,88 +111,40 @@ public:
 
   /// Cumulative host-side accounting of the host's pools across every
   /// batch run so far.
-  sim::HostXferStats pool_host_stats() const {
-    sim::HostXferStats out = pool_.host_stats();
-    if (pool_alt_.has_value()) {
-      out += pool_alt_->host_stats();
-    }
-    return out;
-  }
+  sim::HostXferStats pool_host_stats() const { return banks_.host_stats(); }
 
 private:
-  /// One in-flight batch (or split sub-batch): its session, the waitable
-  /// launch handle, and what finish_batch needs to gather and post-process
-  /// it.
-  struct PendingBatch {
-    std::unique_ptr<runtime::KernelSession> session;
-    runtime::KernelSession::LaunchHandle handle;
-    runtime::DpuPool* pool = nullptr;
-    const std::vector<Image>* images = nullptr;
-    std::uint32_t n_dpus = 0;
-    /// Images per DPU the resolved mapping chose (finish_batch's gather
-    /// must use the same slot count the scatter did).
-    std::uint32_t per_dpu = 0;
-    unsigned bank = 0;
-    std::size_t item = 0;
-    /// Image sub-range this launch covers: [first, first + count) of
-    /// *images. The whole batch for the unsplit path; one split_ranges
-    /// chunk for a split sub-launch.
-    std::size_t first = 0;
-    std::size_t count = 0;
-  };
+  /// The plan request: resolves the (images_per_dpu, tasklets, split)
+  /// mapping for `images` against `pool`'s health picture (a lone batch may
+  /// split across both banks) and returns the job that runs it into `out`.
+  runtime::Job plan_job(const std::vector<Image>& images,
+                        EbnnBatchResult& out, runtime::DpuPool& pool,
+                        bool may_split, std::uint32_t n_tasklets,
+                        runtime::OptLevel opt);
 
-  /// Resolves the (images_per_dpu, tasklets, split) mapping for a batch of
-  /// `n_images` against `pool`'s health picture. `max_split > 1` only for
-  /// call sites that can execute a split plan (run / single-batch
-  /// run_pipelined).
-  map::MappingPlan resolve_batch_plan(runtime::DpuPool& pool,
-                                      std::size_t n_images,
-                                      std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt,
-                                      std::uint32_t max_split);
+  /// Broadcast + scatter + async launch of the images chunk `c` covers;
+  /// the scatter's to-DPU + load walls are the chunk's transfer stage.
+  runtime::Started start_batch(const runtime::Chunk& c,
+                               const std::vector<Image>& images,
+                               const map::MappingPlan& plan,
+                               runtime::OptLevel opt);
 
-  /// Broadcast + scatter + async launch of images [first, first + count)
-  /// on `pool` under the pre-resolved `plan`. When `model` is non-null,
-  /// the scatter's measured to-DPU + load walls are reported as item
-  /// `item`'s transfer stage on bank lane `bank`.
-  PendingBatch start_batch(runtime::DpuPool& pool,
-                           const std::vector<Image>& images,
-                           std::size_t first, std::size_t count,
-                           const map::MappingPlan& plan,
-                           runtime::OptLevel opt,
-                           runtime::PipelineModel* model, unsigned bank,
-                           std::size_t item);
-
-  /// Waits for the launch, gathers, and runs the host tail over the
-  /// pending sub-range. Reports the kernel's simulated wall, the gather
-  /// wall and the measured tail to `model` when non-null.
-  EbnnBatchResult finish_batch(PendingBatch pending,
-                               runtime::PipelineModel* model);
-
-  /// Executes a split plan (`plan.split >= 2`): the batch's DPU groups are
-  /// carved into sub-launches (map::split_ranges), sub-launch s runs on
-  /// bank s%2 across pool_/pool_alt_, at most two in flight — the same
-  /// double-buffer choreography run_pipelined uses across batches, turned
-  /// inward on one batch. Results are bit-identical to the unsplit path
-  /// (every image's inference is independent). Sub-launch s reports its
-  /// stages to `model` as item `item_base + s` when model is non-null.
-  EbnnBatchResult run_split(const std::vector<Image>& images,
-                            const map::MappingPlan& plan,
-                            runtime::OptLevel opt,
-                            runtime::PipelineModel* model,
-                            std::size_t item_base);
+  /// Waits for the launch, gathers, and runs the host tail (or the
+  /// reference model on a degraded launch) over the chunk's images,
+  /// appending them to `out`. Reports the kernel's simulated wall, the
+  /// gather wall and the measured tail as the chunk's stages.
+  void finish_batch(const runtime::Chunk& c, runtime::Started& started,
+                    const std::vector<Image>& images,
+                    const map::MappingPlan& plan, EbnnBatchResult& out);
 
   EbnnConfig cfg_;
   EbnnWeights weights_;
   BnMode mode_;
   ConvKernel kernel_;
-  runtime::UpmemConfig sys_;
   EbnnLayout layout_;
   BnBinactLut lut_;
   EbnnReference reference_;
-  runtime::DpuPool pool_;
-  /// Second bank for run_pipelined, created on first use.
-  std::optional<runtime::DpuPool> pool_alt_;
+  runtime::BankedExecutor banks_;
 };
 
 } // namespace pimdnn::ebnn

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/banked_executor.hpp"
 
 namespace pimdnn::map {
 
@@ -79,12 +80,12 @@ MappingPlan Mapper::price_gemm_split(const GemmRequest& req,
   }
   // Cut the DPU set into contiguous chunks; every DPU keeps the same rows
   // it had unsplit, so the per-sub-launch kernel wall is the unsplit wall.
-  const auto ranges = split_ranges(base.n_dpus, split);
+  const auto ranges = runtime::split_ranges(base.n_dpus, split);
   const Cycles sub_kernel =
       req.kernel_cycles(base.rows_per_dpu, base.n_tasklets);
   std::vector<CandidateTraffic> subs;
   subs.reserve(ranges.size());
-  for (const SplitRange& r : ranges) {
+  for (const runtime::SplitRange& r : ranges) {
     CandidateTraffic t;
     t.bytes_to_dpu =
         static_cast<MemSize>(r.n_units) *
@@ -244,10 +245,10 @@ MappingPlan Mapper::price_batch_split(const BatchRequest& req,
   // Cut at DPU boundaries: every DPU keeps the items it had unsplit, so
   // each sub-launch's fullest DPU — and its kernel wall — is unchanged
   // (the global tail DPU ends up in the last sub-launch, as before).
-  const auto ranges = split_ranges(base.n_dpus, split);
+  const auto ranges = runtime::split_ranges(base.n_dpus, split);
   std::vector<CandidateTraffic> subs;
   subs.reserve(ranges.size());
-  for (const SplitRange& r : ranges) {
+  for (const runtime::SplitRange& r : ranges) {
     const std::size_t first_item = r.first_unit * base.items_per_dpu;
     const std::size_t sub_items = std::min<std::size_t>(
         req.n_items - first_item, r.n_units * base.items_per_dpu);

@@ -68,7 +68,7 @@ struct MappingPlan {
   std::uint32_t n_tasklets = 1;    ///< tasklets per DPU
   std::uint32_t n_dpus = 1;        ///< DPUs the workload spreads across
   /// Sub-launches the workload is carved into (1 = unsplit). When >1 the
-  /// sub-launch schedule is re-derived from `n_dpus` via map::split_ranges
+  /// sub-launch schedule is re-derived from `n_dpus` via runtime::split_ranges
   /// so the pricing and every executor agree on the same cut points;
   /// sub-launch s runs on bank s%2 through the dual-bank pipeline.
   std::uint32_t split = 1;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "runtime/dpu_pool.hpp"
+
 namespace pimdnn::map {
 
 namespace {
@@ -18,25 +20,12 @@ void finalize(std::vector<T>& v, T lo, T hi) {
 
 } // namespace
 
-std::vector<SplitRange> split_ranges(std::size_t total_units,
-                                     std::uint32_t split) {
-  std::vector<SplitRange> out;
-  if (total_units == 0) {
-    return out;
+Limits pool_limits(const runtime::DpuPool& pool) {
+  Limits limits;
+  if (pool.plan_capacity() < pool.config().total_dpus) {
+    limits.max_dpus = pool.plan_capacity();
   }
-  const std::size_t k =
-      std::max<std::size_t>(1, std::min<std::size_t>(split, total_units));
-  const std::size_t base = total_units / k;
-  const std::size_t extra = total_units % k;
-  std::size_t first = 0;
-  for (std::size_t s = 0; s < k; ++s) {
-    SplitRange r;
-    r.first_unit = first;
-    r.n_units = base + (s < extra ? 1 : 0);
-    first += r.n_units;
-    out.push_back(r);
-  }
-  return out;
+  return limits;
 }
 
 std::vector<std::uint32_t> split_candidates(std::size_t total_units,

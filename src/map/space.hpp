@@ -15,31 +15,16 @@
 
 #include "map/constraints.hpp"
 
+namespace pimdnn::runtime {
+class DpuPool;
+}
+
 namespace pimdnn::map {
 
 /// Largest split factor the mapper ever considers. Beyond ~8 sub-launches
 /// the per-launch fixed costs (broadcast replication, launch overhead)
 /// swamp the shrinking overlap win on every workload we model.
 inline constexpr std::uint32_t kMaxSplitFactor = 8;
-
-/// One sub-launch's slice of a split workload, in scheduling units (DPU
-/// groups: a GEMM's row-block of `rows_per_dpu` rows, a batch kernel's
-/// group of `items_per_dpu` items). Cutting at unit boundaries keeps every
-/// DPU's item grouping — and therefore its kernel behaviour and fallback
-/// chunking — identical to the unsplit launch, which is what makes split
-/// execution bit-identical.
-struct SplitRange {
-  std::size_t first_unit = 0; ///< index of the first DPU group
-  std::size_t n_units = 0;    ///< DPU groups in this sub-launch
-};
-
-/// Carves `total_units` DPU groups into at most `split` contiguous,
-/// non-empty sub-launches of near-equal size (the first `total % split`
-/// sub-launches get one extra unit). The single source of truth for split
-/// schedules: pricing and all four executors derive the cut points from
-/// this. Returns one range when split <= 1 or total_units <= 1.
-std::vector<SplitRange> split_ranges(std::size_t total_units,
-                                     std::uint32_t split);
 
 /// Split-factor candidates: powers of two in [2, min(max_split,
 /// total_units, kMaxSplitFactor)]. Empty when no split is possible (fewer
@@ -55,6 +40,11 @@ struct Limits {
   /// Maximum tasklets per DPU the program supports.
   std::uint32_t max_tasklets = kMaxGemmTasklets;
 };
+
+/// Limits for planning on `pool`: its health picture caps the DPU count —
+/// quarantines shrink the usable capacity, reintegrations restore it — and
+/// a clean pool plans the full system (max_dpus 0).
+Limits pool_limits(const runtime::DpuPool& pool);
 
 /// Feasible rows_per_dpu candidates for an M x K GEMM: a geometric ladder
 /// from the smallest feasible value (>= ceil(M / max_dpus) under a DPU

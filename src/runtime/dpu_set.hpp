@@ -18,6 +18,7 @@
 // gather per layer) is observable.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,13 +75,24 @@ struct LaunchStats {
   /// True when the offload degraded to the host/baseline CPU path.
   bool cpu_fallback = false;
 
-  /// Folds another launch's stats into this one — how the split executors
-  /// report one workload run as K sub-launches under a single result.
-  /// Walls add (the sub-launches of one bank run back to back; cross-bank
-  /// overlap is the PipelineModel's to attribute, not this accumulator's).
-  LaunchStats& merge(const LaunchStats& o) {
-    wall_cycles += o.wall_cycles;
-    wall_seconds += o.wall_seconds;
+  /// Running per-bank wall sums of one split launch's chunks (see merge).
+  struct BankWalls {
+    Cycles cycles[2] = {0, 0};
+    Seconds seconds[2] = {0.0, 0.0};
+  };
+
+  /// Folds chunk `o` of a split launch, which ran on `bank` (0 or 1), into
+  /// this total — how one workload run as K chunks reports a single
+  /// result. The two banks run at the same time and each bank's chunks run
+  /// back to back, so the merged wall (cycles and seconds, sim clock) is
+  /// the larger of the two banks' summed chunk walls; `walls` carries those
+  /// sums from chunk to chunk. Everything else adds, and per-DPU stats
+  /// append in chunk order. A single chunk folds to its own stats.
+  LaunchStats& merge(const LaunchStats& o, unsigned bank, BankWalls& walls) {
+    walls.cycles[bank] += o.wall_cycles;
+    walls.seconds[bank] += o.wall_seconds;
+    wall_cycles = std::max(walls.cycles[0], walls.cycles[1]);
+    wall_seconds = std::max(walls.seconds[0], walls.seconds[1]);
     total_cycles += o.total_cycles;
     per_dpu.insert(per_dpu.end(), o.per_dpu.begin(), o.per_dpu.end());
     profile.merge(o.profile);

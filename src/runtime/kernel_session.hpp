@@ -178,9 +178,6 @@ public:
     /// call repeatedly.
     bool wait();
 
-    /// True once the launch finished (never blocks).
-    bool ready() const { return task_.ready(); }
-
     /// True when the handle refers to a launch.
     bool valid() const { return ok_ != nullptr; }
 

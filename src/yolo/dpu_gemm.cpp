@@ -9,6 +9,7 @@
 #include "common/fixed_point.hpp"
 #include "map/constraints.hpp"
 #include "nn/gemm.hpp"
+#include "runtime/banked_executor.hpp"
 #include "runtime/kernel_session.hpp"
 
 namespace pimdnn::yolo {
@@ -240,45 +241,35 @@ GemmResult dpu_gemm_pooled(runtime::DpuPool& pool, int m, int n, int k,
                            runtime::OptLevel opt, int rows_per_dpu,
                            const std::string& weights_tag,
                            std::uint64_t weights_version) {
-  // Plan against the pool's health picture: quarantines shrink the usable
-  // capacity, reintegrations restore it (clean pools plan the full system).
-  map::Limits limits;
-  if (pool.plan_capacity() < pool.config().total_dpus) {
-    limits.max_dpus = pool.plan_capacity();
-  }
   const map::MappingPlan plan =
       plan_gemm_mapping(m, n, k, variant, opt, n_tasklets, rows_per_dpu,
-                        limits);
-  n_tasklets = plan.n_tasklets;
-  rows_per_dpu = plan.rows_per_dpu;
+                        map::pool_limits(pool));
+  return dpu_gemm_planned(pool, nullptr, m, n, k, alpha, a, b, variant, plan,
+                          opt, weights_tag, weights_version);
+}
+
+GemmResult dpu_gemm_planned(runtime::DpuPool& pool_even,
+                            runtime::DpuPool* pool_odd, int m, int n, int k,
+                            std::int16_t alpha,
+                            std::span<const std::int16_t> a,
+                            std::span<const std::int16_t> b,
+                            GemmVariant variant, const map::MappingPlan& plan,
+                            runtime::OptLevel opt,
+                            const std::string& weights_tag,
+                            std::uint64_t weights_version,
+                            runtime::PipelineModel* model,
+                            std::size_t model_item, unsigned lane) {
   require(a.size() >= static_cast<std::size_t>(m) * k, "A too small");
   require(b.size() >= static_cast<std::size_t>(k) * n, "B too small");
+  require(plan.split <= 1 || pool_odd != nullptr,
+          "dpu_gemm_planned: a split plan needs both bank pools");
+  const int rows_per_dpu = plan.rows_per_dpu;
+  const auto na = KernelSession::dpus_for(
+      static_cast<std::size_t>(m), static_cast<std::uint32_t>(rows_per_dpu));
 
-  const auto na = KernelSession::dpus_for(static_cast<std::size_t>(m),
-                                          static_cast<std::uint32_t>(rows_per_dpu));
-
-  // Program activation: the load is cached by the dimension signature, so
-  // warm frames skip the rebuild (and, for the already-active signature,
-  // the reload). The weights tag is part of the signature: two layers with
-  // identical dimensions but different weights must not share one MRAM
-  // region, or the second layer's scatter would evict the first layer's
-  // resident rows every frame.
-  std::string sig = "gemm/n=" + std::to_string(n) +
-                    "/k=" + std::to_string(k) +
-                    "/v=" + std::to_string(static_cast<int>(variant)) +
-                    "/r=" + std::to_string(rows_per_dpu);
-  if (!weights_tag.empty()) {
-    sig += "/w=" + weights_tag;
-  }
-  KernelSession session(pool, sig, na, [&] {
-    return make_gemm_program(n, k, variant, rows_per_dpu);
-  });
-  // The resolved mapping tags the obs offload summary (not the program
-  // cache key above — identical programs still share one load).
-  session.annotate(plan.obs_suffix());
-  session.set_predicted(plan.predicted.kernel_cycles,
-                        plan.predicted.to_dpu_seconds +
-                            plan.predicted.from_dpu_seconds);
+  GemmResult out;
+  out.dpus_used = na;
+  out.c.resize(static_cast<std::size_t>(m) * n);
 
   // Broadcast the kernel metadata every call — alpha is not part of the
   // program signature, so two layers sharing (n, k) may disagree on it.
@@ -287,202 +278,118 @@ GemmResult dpu_gemm_pooled(runtime::DpuPool& pool, int m, int n, int k,
                   static_cast<std::int64_t>(alpha),
                   static_cast<std::uint64_t>(variant),
                   static_cast<std::uint64_t>(rows_per_dpu)};
-  session.broadcast("meta", &meta, sizeof(meta));
-
-  // Broadcast B (the whole input matrix goes to every DPU, Figure 4.6).
-  session.broadcast("b_mat", b.data(), static_cast<MemSize>(k) * n * 2);
-
-  // Scatter: rows [d*R, d*R + R) of A to DPU d; out-of-range rows stay
-  // zero (the padded rows compute to zeros and are discarded on gather).
-  // Skipped entirely when the caller tagged A and the tagged version is
-  // still MRAM-resident from an earlier call (the warm-frame path).
-  const MemSize a_stride = a_stride_bytes(k);
-  const MemSize stage_a_bytes = static_cast<MemSize>(rows_per_dpu) * a_stride;
-  const auto fill_a = [&](std::uint32_t d, std::uint8_t* slot) {
-    for (int r = 0; r < rows_per_dpu; ++r) {
-      const int row = static_cast<int>(d) * rows_per_dpu + r;
-      if (row >= m) break;
-      std::memcpy(slot + static_cast<std::size_t>(r) * a_stride,
-                  a.data() + static_cast<std::size_t>(row) * k,
-                  static_cast<std::size_t>(k) * 2);
-    }
-  };
-  if (weights_tag.empty()) {
-    session.scatter("a_rows", stage_a_bytes, fill_a);
-  } else {
-    session.scatter_resident(weights_tag, weights_version, "a_rows",
-                             stage_a_bytes, fill_a);
-  }
-
-  GemmResult out;
-  out.dpus_used = na;
-  out.c.resize(static_cast<std::size_t>(m) * n);
-
-  // A degraded session routes the GEMM through the fixed-point reference,
-  // which matches the DPU kernel bit for bit (the same Algorithm 2 math).
-  if (!session.launch(n_tasklets, opt)) {
-    nn::gemm_q16_reference(m, n, k, alpha, a, b, out.c);
-    out.stats = session.finish();
-    return out;
-  }
-
-  // Gather: one batched transfer pulls every DPU's full C block; the
-  // session unpacks the M real rows (dropping each row's alignment padding
-  // and the padded tail rows of the last DPU).
-  session.gather_items(
-      "c_rows", static_cast<std::size_t>(m),
-      static_cast<std::uint32_t>(rows_per_dpu), c_stride_bytes(n),
-      [&](std::size_t i, const std::uint8_t* slot) {
-        std::memcpy(out.c.data() + i * n, slot,
-                    static_cast<std::size_t>(n) * 2);
-      });
-
-  out.stats = session.finish();
-  return out;
-}
-
-GemmResult dpu_gemm_split(runtime::DpuPool& pool_even,
-                          runtime::DpuPool& pool_odd, int m, int n, int k,
-                          std::int16_t alpha, std::span<const std::int16_t> a,
-                          std::span<const std::int16_t> b,
-                          GemmVariant variant, const map::MappingPlan& plan,
-                          runtime::OptLevel opt,
-                          const std::string& weights_tag,
-                          std::uint64_t weights_version,
-                          runtime::PipelineModel* model,
-                          std::size_t model_item_base) {
-  if (plan.split <= 1) {
-    return dpu_gemm_pooled(pool_even, m, n, k, alpha, a, b, variant,
-                           plan.n_tasklets, opt, plan.rows_per_dpu,
-                           weights_tag, weights_version);
-  }
-  const std::uint32_t n_tasklets = plan.n_tasklets;
-  const int rows_per_dpu = plan.rows_per_dpu;
-  require(a.size() >= static_cast<std::size_t>(m) * k, "A too small");
-  require(b.size() >= static_cast<std::size_t>(k) * n, "B too small");
-
-  const auto na = KernelSession::dpus_for(
-      static_cast<std::size_t>(m), static_cast<std::uint32_t>(rows_per_dpu));
-  const std::vector<map::SplitRange> ranges =
-      map::split_ranges(na, plan.split);
-
-  GemmResult out;
-  out.dpus_used = na;
-  out.split = static_cast<std::uint32_t>(ranges.size());
-  out.c.resize(static_cast<std::size_t>(m) * n);
-
-  const Meta meta{static_cast<std::uint64_t>(n),
-                  static_cast<std::uint64_t>(k),
-                  static_cast<std::int64_t>(alpha),
-                  static_cast<std::uint64_t>(variant),
-                  static_cast<std::uint64_t>(rows_per_dpu)};
   const MemSize a_stride = a_stride_bytes(k);
   const MemSize stage_a_bytes =
       static_cast<MemSize>(rows_per_dpu) * a_stride;
+  // Program activation: the load is cached by the dimension signature, so
+  // warm frames skip the rebuild (and, for the already-active signature,
+  // the reload).
+  const std::string base_sig =
+      "gemm/n=" + std::to_string(n) + "/k=" + std::to_string(k) +
+      "/v=" + std::to_string(static_cast<int>(variant)) +
+      "/r=" + std::to_string(rows_per_dpu);
 
-  // One in-flight sub-launch per bank: the sub-launch after next waits for
-  // this one's gather before its session may reuse the bank's pool.
-  struct Pending {
-    std::unique_ptr<KernelSession> session;
-    KernelSession::LaunchHandle handle;
-    std::size_t s = 0;
-    std::size_t row_begin = 0;
-    std::size_t row_count = 0;
-  };
-  Pending in_flight[2];
-
-  const auto drain = [&](Pending& p) {
-    if (!p.session) return;
-    const bool ok = p.handle.wait();
-    if (!ok) {
-      // Only this sub-launch's rows reroute to the bit-identical host
-      // reference; the other sub-launches' DPU results stand as-is.
-      nn::gemm_q16_reference(
-          static_cast<int>(p.row_count), n, k, alpha,
-          a.subspan(p.row_begin * static_cast<std::size_t>(k)), b,
-          std::span<std::int16_t>(out.c.data() + p.row_begin * n,
-                                  p.row_count * static_cast<std::size_t>(n)));
-    } else {
-      p.session->gather_items(
-          "c_rows", p.row_count, static_cast<std::uint32_t>(rows_per_dpu),
-          c_stride_bytes(n), [&](std::size_t i, const std::uint8_t* slot) {
-            std::memcpy(out.c.data() + (p.row_begin + i) * n, slot,
-                        static_cast<std::size_t>(n) * 2);
-          });
+  const auto start = [&](const runtime::Chunk& c) {
+    const runtime::Chunk::Window rows =
+        c.window(static_cast<std::size_t>(m), rows_per_dpu);
+    // The weights tag is part of the signature: two layers with identical
+    // dimensions but different weights must not share one MRAM region, or
+    // the second layer's scatter would evict the first layer's resident
+    // rows every frame. Likewise each chunk of a split GEMM scatters a
+    // different row block, so its tag gains a chunk suffix.
+    std::string tag = weights_tag;
+    if (!tag.empty() && c.count > 1) {
+      tag += "/s" + std::to_string(c.index);
     }
-    const runtime::LaunchStats st = p.session->finish();
-    if (model != nullptr) {
-      const std::size_t item = model_item_base + p.s;
-      const std::size_t bank = p.s % 2;
-      model->xfer_stage(item, bank,
-                        st.host.to_dpu_seconds + st.host.load_seconds);
-      model->dpu_stage(item, bank, st.wall_seconds);
-      model->xfer_stage(item, bank, st.host.from_dpu_seconds);
-    }
-    out.stats.merge(st);
-    p.session.reset();
-  };
-
-  for (std::size_t s = 0; s < ranges.size(); ++s) {
-    Pending& slot = in_flight[s % 2];
-    drain(slot); // bank free: the previous sub-launch on it has gathered
-
-    const map::SplitRange& r = ranges[s];
-    slot.s = s;
-    slot.row_begin = r.first_unit * static_cast<std::size_t>(rows_per_dpu);
-    slot.row_count =
-        std::min(static_cast<std::size_t>(m) - slot.row_begin,
-                 r.n_units * static_cast<std::size_t>(rows_per_dpu));
-    runtime::DpuPool& pool = (s % 2 == 0) ? pool_even : pool_odd;
-
-    // Same signature scheme as the unsplit executor; the weight tag gains
-    // a sub-launch suffix because each sub-launch scatters a different row
-    // block — two sub-launches sharing a bank must not share one resident
-    // MRAM region.
-    std::string sig = "gemm/n=" + std::to_string(n) +
-                      "/k=" + std::to_string(k) +
-                      "/v=" + std::to_string(static_cast<int>(variant)) +
-                      "/r=" + std::to_string(rows_per_dpu);
-    std::string chunk_tag;
-    if (!weights_tag.empty()) {
-      chunk_tag = weights_tag + "/s" + std::to_string(s);
-      sig += "/w=" + chunk_tag;
-    }
-    slot.session = std::make_unique<KernelSession>(
-        pool, sig, static_cast<std::uint32_t>(r.n_units),
+    runtime::Started started;
+    started.session = std::make_unique<KernelSession>(
+        c.pool, tag.empty() ? base_sig : base_sig + "/w=" + tag,
+        static_cast<std::uint32_t>(c.range.n_units),
         [&] { return make_gemm_program(n, k, variant, rows_per_dpu); });
-    slot.session->annotate(plan.obs_suffix());
-    const double xfer_share =
-        na == 0 ? 0.0 : static_cast<double>(r.n_units) / na;
-    slot.session->set_predicted(plan.predicted.kernel_cycles,
-                                (plan.predicted.to_dpu_seconds +
-                                 plan.predicted.from_dpu_seconds) *
-                                    xfer_share);
+    KernelSession& session = *started.session;
+    // The resolved mapping tags the obs offload summary (not the program
+    // cache key above — identical programs still share one load); a chunk
+    // is predicted to carry its share of the transfer volume.
+    session.annotate(plan.obs_suffix());
+    session.set_predicted(plan.predicted.kernel_cycles,
+                          (plan.predicted.to_dpu_seconds +
+                           plan.predicted.from_dpu_seconds) *
+                              (static_cast<double>(c.range.n_units) / na));
+    session.broadcast("meta", &meta, sizeof(meta));
+    // Broadcast B (the whole input matrix goes to every DPU, Figure 4.6).
+    session.broadcast("b_mat", b.data(), static_cast<MemSize>(k) * n * 2);
 
-    slot.session->broadcast("meta", &meta, sizeof(meta));
-    slot.session->broadcast("b_mat", b.data(),
-                            static_cast<MemSize>(k) * n * 2);
-    const std::size_t row_begin = slot.row_begin;
-    const auto fill_a = [&, row_begin](std::uint32_t d, std::uint8_t* dst) {
-      for (int rr = 0; rr < rows_per_dpu; ++rr) {
+    // Scatter: rows [d*R, d*R + R) of the chunk's block of A to its DPU d;
+    // out-of-range rows stay zero (the padded rows compute to zeros and
+    // are discarded on gather). Skipped entirely when the caller tagged A
+    // and the tagged version is still MRAM-resident from an earlier call
+    // (the warm-frame path).
+    const auto fill_a = [&](std::uint32_t d, std::uint8_t* slot) {
+      for (int r = 0; r < rows_per_dpu; ++r) {
         const std::size_t row =
-            row_begin + static_cast<std::size_t>(d) * rows_per_dpu + rr;
+            rows.first + static_cast<std::size_t>(d) * rows_per_dpu + r;
         if (row >= static_cast<std::size_t>(m)) break;
-        std::memcpy(dst + static_cast<std::size_t>(rr) * a_stride,
+        std::memcpy(slot + static_cast<std::size_t>(r) * a_stride,
                     a.data() + row * static_cast<std::size_t>(k),
                     static_cast<std::size_t>(k) * 2);
       }
     };
-    if (chunk_tag.empty()) {
-      slot.session->scatter("a_rows", stage_a_bytes, fill_a);
+    if (tag.empty()) {
+      session.scatter("a_rows", stage_a_bytes, fill_a);
     } else {
-      slot.session->scatter_resident(chunk_tag, weights_version, "a_rows",
-                                     stage_a_bytes, fill_a);
+      session.scatter_resident(tag, weights_version, "a_rows", stage_a_bytes,
+                               fill_a);
     }
-    slot.handle = slot.session->launch_async(n_tasklets, opt);
-  }
-  drain(in_flight[ranges.size() % 2]);
-  drain(in_flight[(ranges.size() + 1) % 2]);
+    started.handle = session.launch_async(plan.n_tasklets, opt);
+    return started;
+  };
+
+  const auto finish = [&](const runtime::Chunk& c,
+                          runtime::Started& started) {
+    const runtime::Chunk::Window rows =
+        c.window(static_cast<std::size_t>(m), rows_per_dpu);
+    KernelSession& session = *started.session;
+    if (!started.handle.wait()) {
+      // A degraded chunk routes its own rows through the fixed-point
+      // reference, which matches the DPU kernel bit for bit (the same
+      // Algorithm 2 math); the other chunks' DPU results stand as-is.
+      nn::gemm_q16_reference(
+          static_cast<int>(rows.count), n, k, alpha,
+          a.subspan(rows.first * static_cast<std::size_t>(k)), b,
+          std::span<std::int16_t>(out.c.data() + rows.first * n,
+                                  rows.count * static_cast<std::size_t>(n)));
+    } else {
+      // Gather: one batched transfer pulls every DPU's full C block; the
+      // session unpacks the real rows (dropping each row's alignment
+      // padding and the padded tail rows of the last DPU).
+      session.gather_items(
+          "c_rows", rows.count, static_cast<std::uint32_t>(rows_per_dpu),
+          c_stride_bytes(n), [&](std::size_t i, const std::uint8_t* slot) {
+            std::memcpy(out.c.data() + (rows.first + i) * n, slot,
+                        static_cast<std::size_t>(n) * 2);
+          });
+    }
+    const runtime::LaunchStats st = session.finish();
+    // To-DPU transfers + program loads occupy host AND the bank; the
+    // launch occupies only the bank — the window the other bank's host
+    // stages overlap; the gather occupies both again. Degraded chunks
+    // report zero DPU time.
+    c.xfer(st.host.to_dpu_seconds + st.host.load_seconds);
+    c.kernel(st.wall_seconds);
+    c.xfer(st.host.from_dpu_seconds);
+    c.fold(out.stats, st);
+    out.split = static_cast<std::uint32_t>(c.count);
+  };
+
+  runtime::run_jobs(
+      1,
+      [&](std::size_t, runtime::DpuPool&, bool) {
+        return runtime::Job{na, plan.split, start, finish};
+      },
+      [&](unsigned bank) -> runtime::DpuPool& {
+        return bank == 0 ? pool_even : *pool_odd;
+      },
+      model, model_item, lane);
   return out;
 }
 

@@ -24,11 +24,13 @@
 // asserts equality), enabling full-size per-layer latency reports without
 // functionally simulating 32 GMACs.
 //
-// Host side, `dpu_gemm_pooled` is a thin runtime::KernelSession client:
-// the metadata and B broadcast, the A-row scatter (skipped on warm frames
-// when `weights_tag` is still MRAM-resident) and the batched C gather all
-// go through the shared session choreography, which also stamps the
-// host-transfer walls/bytes into `GemmRunStats::stats.host`.
+// Host side, the GEMM is one start/finish pair on runtime::run_jobs:
+// start broadcasts the metadata and B, scatters the A rows (skipped on
+// warm frames when `weights_tag` is still MRAM-resident) and launches;
+// finish gathers C (or runs the reference on a degraded launch). The
+// session stamps the host-transfer walls/bytes into `GemmResult::stats`.
+// `dpu_gemm_pooled` runs it as a single chunk; split layers run it as K
+// chunks across both banks (`dpu_gemm_planned`).
 #pragma once
 
 #include <cstdint>
@@ -108,8 +110,8 @@ GemmResult dpu_gemm_pooled(runtime::DpuPool& pool, int m, int n, int k,
 /// the thesis' values: one row per DPU, 11 tasklets). `max_split > 1`
 /// additionally lets the search (or a PIMDNN_MAPPING `split=` override)
 /// carve the GEMM into dual-bank sub-launches priced on the overlapped
-/// two-bank timeline — only callers that execute through `dpu_gemm_split`
-/// pass it.
+/// two-bank timeline — only callers that execute through both banks of
+/// `dpu_gemm_planned` pass it.
 map::MappingPlan plan_gemm_mapping(int m, int n, int k, GemmVariant variant,
                                    runtime::OptLevel opt,
                                    std::uint32_t n_tasklets = map::kAutoTasklets,
@@ -117,32 +119,32 @@ map::MappingPlan plan_gemm_mapping(int m, int n, int k, GemmVariant variant,
                                    const map::Limits& limits = {},
                                    std::uint32_t max_split = 1);
 
-/// Executes a pre-resolved split mapping (`plan.split >= 2`): the GEMM's
-/// DPU groups are carved into `plan.split` contiguous sub-launches
-/// (map::split_ranges), sub-launch s runs on bank s%2 (`pool_even` /
-/// `pool_odd`), and at most two sub-launches are in flight — launched
-/// through KernelSession::launch_async so sub-launch k+1's scatter runs
-/// while sub-launch k's kernel executes, exactly the overlap the mapper
-/// priced. Output is bit-identical to `dpu_gemm_pooled` with the same
-/// rows/tasklets: every C row is produced by the same per-row arithmetic,
-/// only the launch grouping changes — also under PIMDNN_FAULTS (a degraded
-/// sub-launch reroutes just its own rows through gemm_q16_reference).
+/// Executes a pre-resolved mapping through runtime::run_jobs: the GEMM's
+/// DPU groups run as `plan.split` contiguous chunks (runtime::split_ranges),
+/// chunk s on `pool_even` or `*pool_odd` by s%2, at most two in flight —
+/// so chunk s+1's scatter runs while chunk s's kernel executes, exactly the
+/// overlap the mapper priced. An unsplit plan is the one-chunk case on
+/// `pool_even` (`pool_odd` may then be null). Output is bit-identical
+/// whatever the split: every C row is produced by the same per-row
+/// arithmetic, only the launch grouping changes — also under PIMDNN_FAULTS
+/// (a degraded chunk reroutes just its own rows through
+/// gemm_q16_reference).
 ///
-/// When `model` is non-null, each sub-launch's measured stages are
-/// reported to it as item `model_item_base + s` on bank lane s%2 (xfer:
-/// to-DPU + load walls; dpu: simulated kernel wall; xfer: from-DPU wall) —
-/// the attribution obs::Timeline reconstructs. A `plan.split <= 1` plan
-/// falls back to the unsplit pooled executor on `pool_even`.
-GemmResult dpu_gemm_split(runtime::DpuPool& pool_even,
-                          runtime::DpuPool& pool_odd, int m, int n, int k,
-                          std::int16_t alpha, std::span<const std::int16_t> a,
-                          std::span<const std::int16_t> b,
-                          GemmVariant variant, const map::MappingPlan& plan,
-                          runtime::OptLevel opt = runtime::OptLevel::O3,
-                          const std::string& weights_tag = {},
-                          std::uint64_t weights_version = 0,
-                          runtime::PipelineModel* model = nullptr,
-                          std::size_t model_item_base = 0);
+/// When `model` is non-null, chunk s reports its measured stages to it as
+/// item `model_item + s` on lane `(lane + s) % 2` (xfer: to-DPU + load
+/// walls; dpu: simulated kernel wall; xfer: from-DPU wall) — the
+/// attribution obs::Timeline reconstructs.
+GemmResult dpu_gemm_planned(runtime::DpuPool& pool_even,
+                            runtime::DpuPool* pool_odd, int m, int n, int k,
+                            std::int16_t alpha,
+                            std::span<const std::int16_t> a,
+                            std::span<const std::int16_t> b,
+                            GemmVariant variant, const map::MappingPlan& plan,
+                            runtime::OptLevel opt = runtime::OptLevel::O3,
+                            const std::string& weights_tag = {},
+                            std::uint64_t weights_version = 0,
+                            runtime::PipelineModel* model = nullptr,
+                            std::size_t model_item = 0, unsigned lane = 0);
 
 /// One-shot convenience wrapper: runs dpu_gemm_pooled on a transient
 /// single-use pool (allocate + load + scatter every call — the cold path

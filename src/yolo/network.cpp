@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
 
 #include "common/error.hpp"
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
+#include "map/space.hpp"
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "runtime/banked_executor.hpp"
 #include "runtime/host_pool.hpp"
 #include "runtime/host_timer.hpp"
 
@@ -114,7 +114,8 @@ YoloRunner::YoloRunner(std::vector<LayerDef> defs, YoloWeights weights,
       in_c_(in_c),
       in_h_(in_h),
       in_w_(in_w),
-      sys_(sys) {
+      sys_(sys),
+      banks_(sys) {
   require(weights_.conv.size() == defs_.size(),
           "weights/layer count mismatch");
   summarize(defs_, in_c, in_h, in_w); // validates the topology
@@ -131,13 +132,7 @@ YoloRunResult YoloRunner::run(std::span<const std::int16_t> input,
 }
 
 sim::HostXferStats YoloRunner::pool_host_stats() const {
-  sim::HostXferStats out;
-  for (const auto& p : pools_) {
-    if (p.has_value()) {
-      out += p->host_stats();
-    }
-  }
-  return out;
+  return banks_.host_stats();
 }
 
 std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
@@ -150,8 +145,8 @@ std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
   // any capacity change (quarantine or reintegration) forces a re-plan.
   std::uint32_t cap = sys_.total_dpus;
   std::uint64_t epoch_key = 0;
-  for (const auto& p : pools_) {
-    if (p.has_value()) {
+  for (unsigned b = 0; b < 2; ++b) {
+    if (const runtime::DpuPool* p = banks_.find(b)) {
       cap = std::min(cap, p->plan_capacity());
       epoch_key = epoch_key * 1000003 + p->health_epoch() + 1;
     }
@@ -224,18 +219,14 @@ std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
   return plans;
 }
 
-runtime::DpuPool& YoloRunner::bank_pool(
+void YoloRunner::reserve_bank(
     unsigned bank, const std::vector<map::MappingPlan>& plans) const {
   std::uint32_t peak = 1;
   for (const map::MappingPlan& p : plans) {
     const std::uint32_t split = std::max(p.split, 1u);
     peak = std::max(peak, (p.n_dpus + split - 1) / split);
   }
-  if (!pools_[bank].has_value()) {
-    pools_[bank].emplace(sys_);
-  }
-  pools_[bank]->reserve(peak);
-  return *pools_[bank];
+  banks_.pool(bank).reserve(peak);
 }
 
 YoloRunResult YoloRunner::run(std::span<const std::int16_t> input,
@@ -245,26 +236,20 @@ YoloRunResult YoloRunner::run(std::span<const std::int16_t> input,
   if (opts.rows_per_dpu != map::kAutoRows) {
     map::require_positive_rows(opts.rows_per_dpu);
   }
-  runtime::DpuPool* pool = nullptr;
-  runtime::DpuPool* split_pool = nullptr;
-  std::vector<map::MappingPlan> plans;
-  const std::vector<map::MappingPlan>* plans_ptr = nullptr;
-  if (opts.mode != ExecMode::Cpu) {
-    // A single frame has no second frame to overlap with, so the second
-    // bank is free for intra-layer splitting whenever the mapper predicts
-    // a win (split plans only arise on a strict predicted improvement).
-    plans = resolve_layer_plans(opts, map::kMaxSplitFactor);
-    pool = &bank_pool(0, plans);
-    const bool any_split =
-        std::any_of(plans.begin(), plans.end(),
-                    [](const map::MappingPlan& p) { return p.split > 1; });
-    if (any_split) {
-      split_pool = &bank_pool(1, plans);
-      plans_ptr = &plans;
-    }
+  if (opts.mode == ExecMode::Cpu) {
+    return run_frame(input, opts, nullptr, 0, 0, nullptr);
   }
-  return run_frame(input, opts, pool, bank_scratch_[0], nullptr, 0, 0,
-                   plans_ptr, split_pool);
+  // A single frame has no second frame to overlap with, so the second
+  // bank is free for intra-layer splitting whenever the mapper predicts a
+  // win (split plans only arise on a strict predicted improvement).
+  const std::vector<map::MappingPlan> plans =
+      resolve_layer_plans(opts, map::kMaxSplitFactor);
+  reserve_bank(0, plans);
+  if (std::any_of(plans.begin(), plans.end(),
+                  [](const map::MappingPlan& p) { return p.split > 1; })) {
+    reserve_bank(1, plans);
+  }
+  return run_frame(input, opts, nullptr, 0, 0, &plans);
 }
 
 YoloPipelineResult YoloRunner::run_pipelined(
@@ -289,107 +274,49 @@ YoloPipelineResult YoloRunner::run_pipelined(
     return out;
   }
 
-  obs::Span sp("yolo.pipeline", "pipeline");
-  if (sp.active()) {
-    sp.u64("n_frames", frames.size());
-  }
-
   // Both bank pools are created/sized on this thread before any frame
   // task can touch them (a frame only ever uses its own bank's pool).
   // With two or more frames the banks are busy overlapping whole frames,
   // so layers stay unsplit; a single frame instead donates the idle second
   // bank to intra-layer splitting (the mapper decides per layer).
-  const bool allow_split = frames.size() == 1;
-  const std::vector<map::MappingPlan> plans =
-      resolve_layer_plans(opts, allow_split ? map::kMaxSplitFactor : 1);
-  const bool any_split =
-      allow_split &&
-      std::any_of(plans.begin(), plans.end(),
-                  [](const map::MappingPlan& p) { return p.split > 1; });
-  runtime::DpuPool* banks[2] = {&bank_pool(0, plans), &bank_pool(1, plans)};
-  banks[0]->set_obs_bank(0);
-  banks[1]->set_obs_bank(1);
-  runtime::PipelineModel model(2);
-  const bool tracing = obs::Tracer::enabled();
-  const double trace_since_us =
-      tracing ? obs::Tracer::instance().now_us() : 0.0;
+  runtime::PipelineRun run("yolo", "n_frames", frames.size());
+  const std::vector<map::MappingPlan> plans = resolve_layer_plans(
+      opts, frames.size() == 1 ? map::kMaxSplitFactor : 1);
+  reserve_bank(0, plans);
+  reserve_bank(1, plans);
 
-  // Double-buffered dispatch: frame i runs on bank i%2, and a bank's next
-  // frame is submitted only after its previous frame completed — so at
-  // most two frames are in flight and each bank's frames serialize (the
+  // Frame i runs on bank i%2 as a HostPool task, through the executor's
+  // two-slot ring: a bank's next frame is submitted only after its
+  // previous frame completed, so each bank's frames serialize (the
   // happens-before chain that keeps warm-pool state and results
   // bit-identical to the serial path).
-  runtime::HostPool::TaskHandle pending[2];
-  std::exception_ptr err;
-  for (std::size_t i = 0; i < frames.size() && err == nullptr; ++i) {
-    const unsigned bank = static_cast<unsigned>(i % 2);
-    if (pending[bank].valid()) {
-      try {
-        pending[bank].wait();
-      } catch (...) {
-        err = std::current_exception();
-        break;
-      }
+  {
+    runtime::InFlightRing<runtime::HostPool::TaskHandle> ring;
+    const auto wait = [](runtime::HostPool::TaskHandle& h) { h.wait(); };
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const unsigned bank = static_cast<unsigned>(i % 2);
+      ring.push(
+          [&, i, bank] {
+            return runtime::HostPool::global().submit([&, i, bank] {
+              out.frames[i] =
+                  run_frame(frames[i], opts, &run.model(), bank, i, &plans);
+            });
+          },
+          wait);
     }
-    const std::vector<std::int16_t>* src = &frames[i];
-    YoloRunResult* dst = &out.frames[i];
-    const std::vector<map::MappingPlan>* split_plans =
-        any_split ? &plans : nullptr;
-    runtime::DpuPool* split_pool = any_split ? banks[1] : nullptr;
-    pending[bank] = runtime::HostPool::global().submit(
-        [this, src, dst, &opts, banks, &model, bank, i, split_plans,
-         split_pool] {
-          *dst = run_frame(*src, opts, banks[bank], bank_scratch_[bank],
-                           &model, bank, i, split_plans, split_pool);
-        });
-  }
-  // Always drain both banks before unwinding: in-flight tasks reference
-  // this stack frame.
-  for (auto& p : pending) {
-    if (!p.valid()) continue;
-    try {
-      p.wait();
-    } catch (...) {
-      if (err == nullptr) {
-        err = std::current_exception();
-      }
-    }
-  }
-  if (err != nullptr) {
-    std::rethrow_exception(err);
+    ring.drain(wait);
   }
 
-  out.pipeline = model.stats();
-  if (sp.active()) {
-    sp.f64("makespan_ms", out.pipeline.makespan_seconds * 1e3);
-    sp.f64("serial_ms", out.pipeline.serial_seconds * 1e3);
-    sp.f64("speedup", out.pipeline.speedup());
-  }
-  if (tracing) {
-    const obs::Timeline tl = obs::Timeline::from_events(
-        obs::Tracer::instance().snapshot(), trace_since_us);
-    if (tl.stages() > 0) {
-      out.timeline = tl.report();
-      obs::record_drift("yolo", *out.timeline,
-                        out.pipeline.makespan_seconds,
-                        out.pipeline.overlap_efficiency());
-    }
-  }
-  if (obs::SloTracker::enabled()) {
-    for (const YoloRunResult& f : out.frames) {
-      obs::SloTracker::instance().record("yolo.frame",
-                                         f.frame_wall_seconds() * 1e3);
-    }
-  }
+  out.pipeline = run.close(out.timeline, "yolo.frame", [&](std::size_t i) {
+    return out.frames[i].frame_wall_seconds() * 1e3;
+  });
   return out;
 }
 
 YoloRunResult YoloRunner::run_frame(
     std::span<const std::int16_t> input, const RunOptions& opts,
-    runtime::DpuPool* pool, Scratch& scratch, runtime::PipelineModel* model,
-    unsigned bank, std::size_t item,
-    const std::vector<map::MappingPlan>* plans,
-    runtime::DpuPool* split_pool) const {
+    runtime::PipelineModel* model, unsigned bank, std::size_t item,
+    const std::vector<map::MappingPlan>* plans) const {
   // Timeline item the next stage lands on. Split conv layers advance it:
   // sub-launch s occupies item `cur_item + s` on bank lane s%2, so the
   // overlapped schedule shows K concurrent lanes instead of one serialized
@@ -432,8 +359,9 @@ YoloRunResult YoloRunner::run_frame(
   out.outputs.reserve(defs_.size());
   out.layers.reserve(defs_.size());
 
-  require(opts.mode == ExecMode::Cpu || pool != nullptr,
-          "YoloRunner::run_frame: DPU mode needs a bank pool");
+  require(opts.mode == ExecMode::Cpu || plans != nullptr,
+          "YoloRunner::run_frame: DPU mode needs layer plans");
+  Scratch& scratch = bank_scratch_[bank];
 
   struct Dim {
     int c, h, w;
@@ -479,60 +407,38 @@ YoloRunResult YoloRunner::run_frame(
 
       std::vector<std::int16_t> conv_out(static_cast<std::size_t>(m) * n);
       const auto& cw = weights_.conv[i];
-      const map::MappingPlan* lp =
-          (plans != nullptr && split_pool != nullptr) ? &(*plans)[i]
-                                                      : nullptr;
       if (opts.mode == ExecMode::Cpu) {
         ht.start();
         nn::gemm_q16_reference(m, n, k, cw.alpha, cw.w, scratch.cols,
                                conv_out);
         out.host_compute_seconds += ht.elapsed();
-      } else if (lp != nullptr && lp->split > 1) {
-        const GemmVariant variant = opts.mode == ExecMode::DpuWram
-                                        ? GemmVariant::WramTiled
-                                        : GemmVariant::MramResident;
-        // Split layer: sub-launch s runs on bank s%2 across both pools;
-        // dpu_gemm_split reports each sub-launch's measured stages to the
-        // model itself, items cur_item..cur_item+split-1.
-        GemmResult r = dpu_gemm_split(
-            *pool, *split_pool, m, n, k, cw.alpha, cw.w, scratch.cols,
-            variant, *lp, opts.opt, "A/conv" + std::to_string(i), 0, model,
-            cur_item);
-        conv_out = std::move(r.c);
-        ls.dpus = r.dpus_used;
-        ls.cycles = r.stats.wall_cycles;
-        out.profile.merge(r.stats.profile);
-        out.host += r.stats.host;
-        cur_item += r.split > 0 ? r.split - 1 : 0;
       } else {
         const GemmVariant variant = opts.mode == ExecMode::DpuWram
                                         ? GemmVariant::WramTiled
                                         : GemmVariant::MramResident;
-        // The weight tag pins this layer's A rows in MRAM: frames after
-        // the first skip the scatter (the weights are bound at
-        // construction, so the version never changes).
-        GemmResult r = dpu_gemm_pooled(
-            *pool, m, n, k, cw.alpha, cw.w, scratch.cols, variant,
-            opts.n_tasklets, opts.opt, opts.rows_per_dpu,
-            "A/conv" + std::to_string(i));
+        // A split layer runs its pre-resolved plan as chunks across both
+        // banks, chunk s on timeline item cur_item + s; any other layer
+        // plans against this bank's pool and runs as one chunk. The weight
+        // tag pins the layer's A rows in MRAM: frames after the first skip
+        // the scatter (the weights are bound at construction, so the
+        // version never changes).
+        runtime::DpuPool& pool = banks_.pool(bank);
+        const bool split = (*plans)[i].split > 1;
+        const map::MappingPlan plan =
+            split ? (*plans)[i]
+                  : plan_gemm_mapping(m, n, k, variant, opts.opt,
+                                      opts.n_tasklets, opts.rows_per_dpu,
+                                      map::pool_limits(pool));
+        GemmResult r = dpu_gemm_planned(
+            pool, split ? &banks_.pool(1 - bank) : nullptr, m, n, k,
+            cw.alpha, cw.w, scratch.cols, variant, plan, opts.opt,
+            "A/conv" + std::to_string(i), 0, model, cur_item, bank);
         conv_out = std::move(r.c);
         ls.dpus = r.dpus_used;
         ls.cycles = r.stats.wall_cycles;
         out.profile.merge(r.stats.profile);
         out.host += r.stats.host;
-        if (model != nullptr) {
-          // To-DPU transfers + program loads occupy host AND this bank;
-          // the launch occupies only the bank — that is the window the
-          // other bank's host stages overlap; the gather occupies both
-          // again. Degraded (CPU-fallback) layers report zero DPU time:
-          // approximate, but fault-run throughput is not a criterion.
-          model->xfer_stage(cur_item, bank,
-                            r.stats.host.to_dpu_seconds +
-                                r.stats.host.load_seconds);
-          model->dpu_stage(cur_item, bank,
-                           sys_.cycles_to_seconds(r.stats.wall_cycles));
-          model->xfer_stage(cur_item, bank, r.stats.host.from_dpu_seconds);
-        }
+        cur_item += r.split - 1;
       }
 
       // Host post-processing: bias add + activation (§4.2.3: only the

@@ -14,9 +14,10 @@
 // bit-for-bit.
 //
 // `run_pipelined` is the double-buffered multi-frame executor: the runner
-// keeps TWO bank pools (ping/pong), frames alternate banks, and while bank
-// A's frame occupies its DPUs, bank B's frame runs its host stages
-// (im2col, quantized GEMM scatter, bias+leaky) — so consecutive frames'
+// keeps TWO bank pools (ping/pong, a runtime::BankedExecutor), frames
+// alternate banks through its two-slot ring, and while bank A's frame
+// occupies its DPUs, bank B's frame runs its host stages (im2col,
+// quantized GEMM scatter, bias+leaky) — so consecutive frames'
 // DPU phases overlap in the modeled timeline (runtime::PipelineModel)
 // exactly as two UPMEM rank groups would. Outputs are bit-identical to
 // running the frames back-to-back through `run`: each bank serializes its
@@ -30,7 +31,7 @@
 #include <vector>
 
 #include "obs/timeline.hpp"
-#include "runtime/dpu_pool.hpp"
+#include "runtime/banked_executor.hpp"
 #include "runtime/dpu_set.hpp"
 #include "runtime/pipeline.hpp"
 #include "sim/profile.hpp"
@@ -220,37 +221,36 @@ private:
   /// config (so no mid-frame growth resets its program/residency cache).
   /// A split layer only ever holds ceil(n_dpus / split) DPUs per bank at
   /// once, so that is what it contributes to the peak.
-  runtime::DpuPool& bank_pool(unsigned bank,
-                              const std::vector<map::MappingPlan>& plans)
-      const;
+  void reserve_bank(unsigned bank,
+                    const std::vector<map::MappingPlan>& plans) const;
 
-  /// One frame through one bank. `pool` is null in CPU mode. When `model`
-  /// is non-null, each layer's stages are reported to it as item `item` on
-  /// bank lane `bank` (host: im2col/postprocess/non-conv bodies; xfer: the
-  /// GEMM's measured to-DPU + load and from-DPU walls; dpu: the launch's
-  /// simulated wall seconds).
+  /// One frame through bank `bank` (its pool and im2col scratch); `plans`
+  /// (resolve_layer_plans, with the banks already sized for them) is null
+  /// in CPU mode. When `model` is non-null, each layer's stages are
+  /// reported to it as item `item` on lane `bank` (host: im2col/postprocess/
+  /// non-conv bodies; xfer: the GEMM's measured to-DPU + load and from-DPU
+  /// walls; dpu: the launch's simulated wall seconds).
   ///
-  /// When `plans` and `split_pool` are non-null, conv layers whose
-  /// resolved plan says `split > 1` execute through dpu_gemm_split across
-  /// `pool` (even sub-launches) and `split_pool` (odd ones); the model
-  /// items then advance past `item` so each sub-launch occupies its own
-  /// slot of the overlapped timeline. Only single-frame runs pass these.
+  /// Conv layers whose plan says `split > 1` run it through
+  /// dpu_gemm_planned across both banks; the model items then advance past
+  /// `item` so each chunk occupies its own slot of the overlapped
+  /// timeline. Other layers plan against the frame's bank and run as one
+  /// chunk on it.
   YoloRunResult run_frame(std::span<const std::int16_t> input,
-                          const RunOptions& opts, runtime::DpuPool* pool,
-                          Scratch& scratch, runtime::PipelineModel* model,
-                          unsigned bank, std::size_t item,
-                          const std::vector<map::MappingPlan>* plans = nullptr,
-                          runtime::DpuPool* split_pool = nullptr) const;
+                          const RunOptions& opts,
+                          runtime::PipelineModel* model, unsigned bank,
+                          std::size_t item,
+                          const std::vector<map::MappingPlan>* plans) const;
 
   std::vector<LayerDef> defs_;
   YoloWeights weights_;
   int in_c_, in_h_, in_w_;
   runtime::UpmemConfig sys_;
-  /// Ping/pong bank pools, lazily created. `run` uses bank 0 only (same
-  /// warm-frame behavior as before); `run_pipelined` alternates both. Each
-  /// holds its own cached GEMM programs and MRAM-resident weight rows.
-  /// Mutable: running a frame is logically const but warms the pool.
-  mutable std::optional<runtime::DpuPool> pools_[2];
+  /// Ping/pong bank pools. `run` uses bank 0 (plus bank 1 for split
+  /// layers); `run_pipelined` alternates both. Each holds its own cached
+  /// GEMM programs and MRAM-resident weight rows. Mutable: running a frame
+  /// is logically const but warms the pools.
+  mutable runtime::BankedExecutor banks_;
   mutable Scratch bank_scratch_[2];
   /// resolve_layer_plans memo, keyed on the run options *and* the banks'
   /// health epochs — quarantine and reintegration both bump an epoch, so

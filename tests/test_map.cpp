@@ -21,6 +21,7 @@
 #include "map/mapper.hpp"
 #include "map/plan.hpp"
 #include "map/space.hpp"
+#include "runtime/banked_executor.hpp"
 #include "yolo/config.hpp"
 #include "yolo/detect.hpp"
 #include "yolo/dpu_gemm.hpp"
@@ -255,7 +256,7 @@ TEST(Mapper, AutoNeverPredictedWorseThanPaper) {
 }
 
 TEST(Mapper, AutoGemmRespectsDpuCapacityLimit) {
-  map::clear_default_mapping_override();
+  map::ScopedMappingOverride env("auto");
   auto req = small_gemm_request(64, 300, 64);
   // A quarantine-shrunken pool caps the plan: the infeasible 64-DPU paper
   // seed must yield to a feasible packed mapping even when the packed
@@ -268,7 +269,7 @@ TEST(Mapper, AutoGemmRespectsDpuCapacityLimit) {
 }
 
 TEST(Mapper, AutoBatchRespectsDpuCapacityLimit) {
-  map::clear_default_mapping_override();
+  map::ScopedMappingOverride env("auto");
   map::BatchRequest req;
   req.n_items = 64;
   req.capacity = 16;
@@ -362,8 +363,8 @@ TEST(MapperSplit, AutoSplitsOnlyOnStrictPredictedWin) {
   EXPECT_LT(split.predicted.makespan_seconds,
             unsplit.predicted.makespan_seconds);
   // n_dpus stays the TOTAL across sub-launches; executors re-derive the
-  // cut points from (n_dpus, split) via map::split_ranges.
-  const auto ranges = map::split_ranges(split.n_dpus, split.split);
+  // cut points from (n_dpus, split) via runtime::split_ranges.
+  const auto ranges = runtime::split_ranges(split.n_dpus, split.split);
   EXPECT_EQ(ranges.size(), split.split);
   std::uint32_t total = 0;
   for (const auto& r : ranges) total += r.n_units;
