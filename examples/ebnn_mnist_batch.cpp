@@ -1,9 +1,10 @@
 // eBNN batch inference at scale — the thesis' many-images-per-DPU mapping
 // (§4.1.3) driven across dozens of DPUs, comparing the default (float
 // BN-BinAct in the DPU) and LUT architectures, and validating every DPU
-// result against the host golden model.
+// result (prediction and feature bits) against the host golden model.
 //
 // Usage: ebnn_mnist_batch [n_images]   (default 256)
+// Exits 1 if any image disagrees with the golden model.
 #include <cstdlib>
 #include <iostream>
 
@@ -30,6 +31,7 @@ int main(int argc, char** argv) {
   std::cout << "eBNN batch: " << n_images << " images, "
             << (n_images + 15) / 16 << " DPUs (16 images per DPU)\n\n";
 
+  bool all_agree = true;
   Table t("architecture comparison");
   t.header({"architecture", "DPU wall (ms)", "us/image", "host ms",
             "float #occ", "golden-model agreement"});
@@ -40,10 +42,13 @@ int main(int argc, char** argv) {
     const auto r = host.run(images, 16);
     std::size_t agree = 0;
     for (std::size_t i = 0; i < images.size(); ++i) {
-      if (reference.infer(images[i].data()).predicted == r.predicted[i]) {
+      const auto golden = reference.infer(images[i].data());
+      if (golden.predicted == r.predicted[i] &&
+          golden.feature == r.features[i]) {
         ++agree;
       }
     }
+    all_agree = all_agree && agree == images.size();
     t.row({label, Table::num(r.launch.wall_seconds * 1e3, 3),
            Table::num(r.launch.wall_seconds / double(n_images) * 1e6, 2),
            Table::num(r.launch.host.host_seconds() * 1e3, 3),
@@ -78,5 +83,9 @@ int main(int argc, char** argv) {
             << "Note: DPU microseconds are simulated 350 MHz cycles; only\n"
             << "relative comparisons across DPU configurations are\n"
             << "meaningful (see DESIGN.md).\n";
+  if (!all_agree) {
+    std::cerr << "error: DPU results disagree with the golden model\n";
+    return 1;
+  }
   return 0;
 }

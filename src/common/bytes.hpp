@@ -28,6 +28,13 @@ constexpr bool is_xfer_aligned(MemSize n) { return n % kXferAlign == 0; }
 /// Copies `src` into a new buffer padded with zeros to the 8-byte rule.
 std::vector<std::uint8_t> pad_to_xfer(const void* src, MemSize size);
 
+/// `v`'s elements as raw bytes (e.g. weights bound for a WRAM broadcast).
+template <class T>
+std::vector<std::uint8_t> to_bytes(const std::vector<T>& v) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+  return {p, p + v.size() * sizeof(T)};
+}
+
 /// Number of padding bytes the 8-byte rule adds to a payload of `size` bytes.
 constexpr MemSize xfer_padding(MemSize size) {
   return align_up(size, kXferAlign) - size;

@@ -47,55 +47,33 @@ void chunked_write(TaskletCtx& ctx, MemSize dst, const std::uint8_t* src,
   }
 }
 
-} // namespace
-
-Offloader::Offloader(WorkloadSpec spec, ItemKernel kernel,
-                     const runtime::UpmemConfig& sys)
-    : spec_(std::move(spec)), kernel_(std::move(kernel)), sys_(sys),
-      banks_(sys) {
-  require(static_cast<bool>(kernel_), "Offloader needs a kernel");
-  if (spec_.item_in_bytes == 0 || spec_.item_out_bytes == 0) {
-    throw ConfigError("WorkloadSpec: item sizes must be positive");
-  }
-  if (spec_.items_per_dpu == 0 ||
-      spec_.items_per_dpu > sys_.max_tasklets) {
-    throw ConfigError("WorkloadSpec: items_per_dpu must be in [1, 24]");
-  }
-  in_stride_ = align_up(spec_.item_in_bytes, kXferAlign);
-  out_stride_ = align_up(spec_.item_out_bytes, kXferAlign);
-  // Fail fast on impossible WRAM mappings: a throwaway DPU performs the
-  // placement checks the real toolchain's linker would.
-  sim::Dpu probe(sys_);
-  probe.load(build_program());
-}
-
-sim::DpuProgram Offloader::build_program() const {
+/// The item kernel's DPU program: per-item input/output slots in MRAM,
+/// staged through per-tasklet WRAM slots, "consts" and "scratch" in WRAM.
+sim::DpuProgram item_program(const WorkloadSpec& spec,
+                             const ItemKernel& kernel) {
+  const MemSize in_stride = align_up(spec.item_in_bytes, kXferAlign);
+  const MemSize out_stride = align_up(spec.item_out_bytes, kXferAlign);
   sim::DpuProgram prog;
-  prog.name = spec_.name;
-  prog.iram_bytes = spec_.iram_bytes;
-  const MemSize n = spec_.items_per_dpu;
+  prog.name = spec.name;
+  prog.iram_bytes = spec.iram_bytes;
+  const MemSize n = spec.items_per_dpu;
   prog.symbols = {
       {"meta", MemKind::Wram, 8},
-      {"in_mram", MemKind::Mram, n * in_stride_},
-      {"out_mram", MemKind::Mram, n * out_stride_},
-      {"in_buf", MemKind::Wram, n * in_stride_},
-      {"out_buf", MemKind::Wram, n * out_stride_},
+      {"in_mram", MemKind::Mram, n * in_stride},
+      {"out_mram", MemKind::Mram, n * out_stride},
+      {"in_buf", MemKind::Wram, n * in_stride},
+      {"out_buf", MemKind::Wram, n * out_stride},
   };
-  if (spec_.scratch_bytes_per_tasklet > 0) {
+  if (spec.scratch_bytes_per_tasklet > 0) {
     prog.symbols.push_back(
         {"scratch", MemKind::Wram,
-         n * align_up(spec_.scratch_bytes_per_tasklet, kXferAlign)});
+         n * align_up(spec.scratch_bytes_per_tasklet, kXferAlign)});
   }
-  if (!spec_.consts.empty()) {
+  if (!spec.consts.empty()) {
     prog.symbols.push_back(
-        {"consts", MemKind::Wram, align_up(spec_.consts.size(), kXferAlign)});
+        {"consts", MemKind::Wram, align_up(spec.consts.size(), kXferAlign)});
   }
 
-  // Capture what the kernel closure needs by value.
-  const WorkloadSpec spec = spec_;
-  const MemSize in_stride = in_stride_;
-  const MemSize out_stride = out_stride_;
-  const ItemKernel kernel = kernel_;
   prog.entry = [spec, in_stride, out_stride, kernel](TaskletCtx& ctx) {
     require(ctx.n_tasklets() <= spec.items_per_dpu,
             "offload kernel: tasklets exceed item slots");
@@ -135,27 +113,87 @@ sim::DpuProgram Offloader::build_program() const {
   return prog;
 }
 
-runtime::Job Offloader::plan_job(const Items& items, OffloadResult& out,
-                                 runtime::DpuPool& pool, bool may_split,
-                                 std::uint32_t n_tasklets,
-                                 runtime::OptLevel opt) {
-  require(!items.empty(), "Offloader::run: empty batch");
-  if (n_tasklets != map::kAutoTasklets) {
-    require(n_tasklets >= 1 && n_tasklets <= spec_.items_per_dpu,
-            "Offloader::run: tasklets must be in [1, items_per_dpu]");
+/// Validates the spec and describes the item kernel's batch program.
+BatchProgram item_batch_program(const WorkloadSpec& spec, ItemKernel kernel,
+                                const runtime::UpmemConfig& sys) {
+  require(static_cast<bool>(kernel), "Offloader needs a kernel");
+  if (spec.item_in_bytes == 0 || spec.item_out_bytes == 0) {
+    throw ConfigError("WorkloadSpec: item sizes must be positive");
   }
+  if (spec.items_per_dpu == 0 || spec.items_per_dpu > sys.max_tasklets) {
+    throw ConfigError("WorkloadSpec: items_per_dpu must be in [1, 24]");
+  }
+  BatchProgram p;
+  p.signature = "offload/" + spec.name;
+  p.pipeline = "offload";
+  p.capacity = spec.items_per_dpu;
+  p.item_bytes = spec.item_in_bytes;
+  p.in_stride = align_up(spec.item_in_bytes, kXferAlign);
+  p.out_stride = align_up(spec.item_out_bytes, kXferAlign);
+  p.in_symbol = "in_mram";
+  p.out_symbol = "out_mram";
+  if (!spec.consts.empty()) {
+    p.consts.push_back({"consts", spec.consts});
+  }
+  if (spec.kernel_cost) {
+    p.kernel_cost = [cost = spec.kernel_cost](std::uint32_t items,
+                                              std::uint32_t t,
+                                              runtime::OptLevel) {
+      return cost(items, t);
+    };
+  }
+  p.build = [spec, kernel = std::move(kernel)] {
+    return item_program(spec, kernel);
+  };
+  return p;
+}
+
+} // namespace
+
+Offloader::Offloader(BatchProgram program, const runtime::UpmemConfig& sys)
+    : program_(std::move(program)), sys_(sys), banks_(sys) {}
+
+Offloader::Offloader(WorkloadSpec spec, ItemKernel kernel,
+                     const runtime::UpmemConfig& sys)
+    : Offloader(item_batch_program(spec, std::move(kernel), sys), sys) {
+  item_out_bytes_ = spec.item_out_bytes;
+  // Fail fast on impossible WRAM mappings: a throwaway DPU performs the
+  // placement checks the real toolchain's linker would.
+  sim::Dpu probe(sys_);
+  probe.load(program_.build());
+}
+
+runtime::Job Offloader::plan_job(const Batch& b, runtime::DpuPool& pool,
+                                 bool may_split, std::uint32_t n_tasklets,
+                                 runtime::OptLevel opt) {
+  const Items& items = *b.items;
+  require(!items.empty(), program_.pipeline + ": empty batch");
+  require(std::all_of(items.begin(), items.end(),
+                      [&](const auto& it) {
+                        return it.size() == program_.item_bytes;
+                      }),
+          program_.pipeline + ": item size mismatch");
+  require(n_tasklets == map::kAutoTasklets ||
+              (n_tasklets >= 1 && n_tasklets <= program_.capacity),
+          program_.pipeline + ": tasklets must be in [1, items per DPU]");
 
   // Resolve (items_per_dpu, tasklets, split) through map::Mapper:
-  // auto-sentinel callers get the cost-model argmin when the spec priced
-  // its kernel (the paper capacity-filling mapping otherwise); an explicit
-  // tasklet count pins the spec's mapping.
+  // auto-sentinel callers get the cost-model argmin when the program
+  // prices its kernel (the paper capacity-filling mapping otherwise) or
+  // PIMDNN_MAPPING; an explicit tasklet count pins the paper mapping.
   map::BatchRequest mreq;
   mreq.n_items = items.size();
-  mreq.capacity = spec_.items_per_dpu;
-  mreq.kernel_cycles = spec_.kernel_cost;
-  mreq.item_in_bytes = in_stride_;
-  mreq.item_out_bytes = out_stride_;
-  mreq.const_bytes_per_dpu = spec_.consts.size();
+  mreq.capacity = program_.capacity;
+  if (program_.kernel_cost) {
+    mreq.kernel_cycles = [this, opt](std::uint32_t n, std::uint32_t t) {
+      return program_.kernel_cost(n, t, opt);
+    };
+  }
+  mreq.item_in_bytes = program_.in_stride;
+  mreq.item_out_bytes = program_.out_stride;
+  for (const auto& [symbol, bytes] : program_.consts) {
+    mreq.const_bytes_per_dpu += bytes.size();
+  }
   mreq.pinned_tasklets = n_tasklets;
   mreq.max_split = may_split ? map::kMaxSplitFactor : 1;
   mreq.limits = map::pool_limits(pool);
@@ -165,9 +203,9 @@ runtime::Job Offloader::plan_job(const Items& items, OffloadResult& out,
           [this, &items, plan, opt](const runtime::Chunk& c) {
             return start_batch(c, items, plan, opt);
           },
-          [this, &items, plan, opt, &out](const runtime::Chunk& c,
-                                          runtime::Started& started) {
-            finish_batch(c, started, items, plan, opt, out);
+          [this, &b, plan](const runtime::Chunk& c,
+                           runtime::Started& started) {
+            finish_batch(c, started, b, plan);
           }};
 }
 
@@ -175,22 +213,16 @@ runtime::Started Offloader::start_batch(const runtime::Chunk& c,
                                         const Items& items,
                                         const map::MappingPlan& plan,
                                         runtime::OptLevel opt) {
-  for (const auto& it : items) {
-    require(it.size() == spec_.item_in_bytes,
-            "Offloader::run: item size mismatch");
-  }
   const std::uint32_t per_dpu = plan.items_per_dpu;
   const runtime::Chunk::Window w = c.window(items.size(), per_dpu);
 
   const sim::HostXferStats before = c.pool.host_stats();
   // One cached program per engine: the first batch loads it (and any later
-  // batch that outgrows the pool reloads it); otherwise activation is a
-  // no-op and the broadcast constants are still in WRAM from last time.
+  // batch that outgrows the pool reloads it).
   runtime::Started started;
   started.session = std::make_unique<KernelSession>(
-      c.pool, "offload/" + spec_.name,
-      KernelSession::dpus_for(w.count, per_dpu),
-      [this] { return build_program(); });
+      c.pool, program_.signature, KernelSession::dpus_for(w.count, per_dpu),
+      program_.build);
   KernelSession& session = *started.session;
   session.annotate(plan.obs_suffix());
   // A chunk is predicted to carry its share of the plan's transfer volume.
@@ -199,15 +231,17 @@ runtime::Started Offloader::start_batch(const runtime::Chunk& c,
                          plan.predicted.from_dpu_seconds) *
                             (static_cast<double>(w.count) /
                              static_cast<double>(items.size())));
-  if (!spec_.consts.empty()) {
-    session.broadcast_const("consts", spec_.consts.data(),
-                            spec_.consts.size());
+  // Warm batches skip these while every session DPU still holds them.
+  for (const auto& [symbol, bytes] : program_.consts) {
+    session.broadcast_const(symbol, bytes.data(), bytes.size());
   }
 
-  // Scatter inputs + per-DPU true counts, then launch asynchronously so
-  // the next chunk or batch stages on the other bank meanwhile.
-  session.scatter_items("in_mram", "meta", w.count, per_dpu, in_stride_,
-                        spec_.item_in_bytes, [&](std::size_t i) {
+  // Scatter inputs + per-DPU true counts (§3.2), then launch
+  // asynchronously so the next chunk or batch stages on the other bank
+  // meanwhile.
+  session.scatter_items(program_.in_symbol, "meta", w.count, per_dpu,
+                        program_.in_stride, program_.item_bytes,
+                        [&](std::size_t i) {
                           return items[w.first + i].data();
                         });
 
@@ -219,111 +253,129 @@ runtime::Started Offloader::start_batch(const runtime::Chunk& c,
 }
 
 void Offloader::finish_batch(const runtime::Chunk& c,
-                             runtime::Started& started, const Items& items,
-                             const map::MappingPlan& plan,
-                             runtime::OptLevel opt, OffloadResult& out) {
+                             runtime::Started& started, const Batch& b,
+                             const map::MappingPlan& plan) {
   KernelSession& session = *started.session;
   const std::uint32_t per_dpu = plan.items_per_dpu;
-  const runtime::Chunk::Window w = c.window(items.size(), per_dpu);
-
+  const runtime::Chunk::Window w = c.window(b.items->size(), per_dpu);
+  BatchStats& out = *b.out;
   out.split = static_cast<std::uint32_t>(c.count);
   out.dpus_used += session.n_dpus();
-  out.outputs.reserve(items.size());
 
-  // A degraded session routes the chunk through one spare private DPU —
-  // the same kernel closure, per_dpu items at a time, so results stay
-  // bit-identical.
+  runtime::HostTimer ht;
+  // A degraded session routes the chunk through the client's CPU path,
+  // which is bit-identical to the kernel.
   if (!started.handle.wait()) {
-    runtime::HostTimer ht;
     ht.start();
-    run_host_fallback(items, w.first, w.count, per_dpu, plan.n_tasklets, opt,
-                      out.outputs);
-    const Seconds fallback = ht.elapsed();
+    b.hooks.fallback(plan, w.first, w.count);
+    const Seconds tail = ht.elapsed();
+    out.host_tail_seconds += tail;
     c.fold(out.launch, session.finish());
-    c.host(fallback);
+    c.host(tail);
     return;
   }
 
+  // Batched gather of the output slots, then the client's host tail —
+  // separated so the transfer wall and the tail compute land in their own
+  // pipeline stages.
+  const MemSize stride = program_.out_stride;
   const sim::HostXferStats before = c.pool.host_stats();
-  session.gather_items("out_mram", w.count, per_dpu, out_stride_,
-                       [&](std::size_t, const std::uint8_t* slot) {
-                         out.outputs.emplace_back(
-                             slot, slot + spec_.item_out_bytes);
+  std::vector<std::uint8_t> slots(w.count * stride);
+  session.gather_items(program_.out_symbol, w.count, per_dpu, stride,
+                       [&](std::size_t i, const std::uint8_t* slot) {
+                         std::memcpy(slots.data() + i * stride, slot, stride);
                        });
   const sim::HostXferStats gathered =
       sim::host_xfer_delta(c.pool.host_stats(), before);
 
+  ht.start();
+  for (std::size_t i = 0; i < w.count; ++i) {
+    b.hooks.tail(plan, w.first + i, slots.data() + i * stride);
+  }
+  const Seconds tail = ht.elapsed();
+  out.host_tail_seconds += tail;
   const runtime::LaunchStats stats = session.finish();
   c.fold(out.launch, stats);
   // Reported after the fact but in per-lane chronological order: kernel
-  // on the bank, then the gather transfer.
+  // on the bank, gather on host+bank, tail on the host.
   c.kernel(stats.wall_seconds);
   c.xfer(gathered.from_dpu_seconds);
+  c.host(tail);
 }
 
-OffloadResult Offloader::run(const Items& items, std::uint32_t n_tasklets,
-                             runtime::OptLevel opt) {
-  OffloadResult out;
-  banks_.run(1, [&](std::size_t, runtime::DpuPool& pool, bool may_split) {
-    return plan_job(items, out, pool, may_split, n_tasklets, opt);
-  });
-  return out;
-}
-
-OffloadPipelineResult Offloader::run_pipelined(
-    const std::vector<Items>& batches, std::uint32_t n_tasklets,
-    runtime::OptLevel opt) {
-  OffloadPipelineResult out;
-  out.batches.resize(batches.size());
+runtime::PipelineStats Offloader::run_batches(
+    const std::vector<Batch>& batches, std::uint32_t n_tasklets,
+    runtime::OptLevel opt, std::optional<obs::TimelineReport>* timeline) {
+  const runtime::Planner plan = [&](std::size_t i, runtime::DpuPool& pool,
+                                    bool may_split) {
+    return plan_job(batches[i], pool, may_split, n_tasklets, opt);
+  };
+  const std::string series = program_.pipeline + ".batch";
+  if (timeline == nullptr) {
+    obs::Span batch_sp(series.c_str(), "pipeline");
+    if (batch_sp.active()) {
+      batch_sp.u64("n_items", batches[0].items->size());
+    }
+    banks_.run(1, plan);
+    return {};
+  }
   if (batches.empty()) {
-    return out;
+    return {};
   }
-  runtime::PipelineRun run("offload", "n_batches", batches.size());
-  banks_.run(
-      batches.size(),
-      [&](std::size_t i, runtime::DpuPool& pool, bool may_split) {
-        return plan_job(batches[i], out.batches[i], pool, may_split,
-                          n_tasklets, opt);
-      },
-      &run.model());
-  out.pipeline = run.close(out.timeline, "offload.batch", [&](std::size_t i) {
-    const OffloadResult& b = out.batches[i];
-    return (b.launch.host.host_seconds() + b.launch.wall_seconds) * 1e3;
+  runtime::PipelineRun run(program_.pipeline.c_str(), "n_batches",
+                           batches.size());
+  banks_.run(batches.size(), plan, &run.model());
+  return run.close(*timeline, series.c_str(), [&](std::size_t i) {
+    const BatchStats& s = *batches[i].out;
+    return (s.launch.host.host_seconds() + s.launch.wall_seconds +
+            s.host_tail_seconds) *
+           1e3;
   });
-  return out;
 }
 
-void Offloader::run_host_fallback(const Items& items, std::size_t first,
-                                  std::size_t count, std::uint32_t per_dpu,
-                                  std::uint32_t n_tasklets,
-                                  runtime::OptLevel opt,
-                                  Items& outputs) const {
-  sim::Dpu spare(sys_);
-  spare.load(build_program());
-  if (!spec_.consts.empty()) {
-    const auto padded = pad_to_xfer(spec_.consts.data(), spec_.consts.size());
-    spare.host_write("consts", 0, padded.data(), padded.size());
-  }
-  std::vector<std::uint8_t> slot(in_stride_);
-  std::vector<std::uint8_t> result(out_stride_);
-  for (std::size_t base = 0; base < count; base += per_dpu) {
-    const std::uint64_t chunk =
-        std::min<std::size_t>(per_dpu, count - base);
-    for (std::uint64_t s = 0; s < chunk; ++s) {
-      std::fill(slot.begin(), slot.end(), 0);
-      std::memcpy(slot.data(), items[first + base + s].data(),
-                  spec_.item_in_bytes);
-      spare.host_write("in_mram", s * in_stride_, slot.data(), in_stride_);
-    }
-    spare.host_write("meta", 0, &chunk, sizeof(chunk));
-    spare.launch(n_tasklets, opt);
-    for (std::uint64_t s = 0; s < chunk; ++s) {
-      spare.host_read("out_mram", s * out_stride_, result.data(),
-                      out_stride_);
-      outputs.emplace_back(result.begin(),
-                           result.begin() + spec_.item_out_bytes);
-    }
-  }
+Offloader::Bind<OffloadResult> Offloader::item_hooks(
+    runtime::OptLevel opt) const {
+  return [this, opt](const Items& items, OffloadResult& out) -> BatchHooks {
+    out.outputs.reserve(items.size());
+    const auto tail = [this, &out](const map::MappingPlan&, std::size_t,
+                                   const std::uint8_t* slot) {
+      out.outputs.emplace_back(slot, slot + item_out_bytes_);
+    };
+    // The same program on one spare private DPU, `per_dpu` items at a
+    // time, and the same tail over each output slot.
+    const auto on_spare = [this, &items, tail, opt](
+                              const map::MappingPlan& plan, std::size_t first,
+                              std::size_t count) {
+      sim::Dpu spare(sys_);
+      spare.load(program_.build());
+      for (const auto& [symbol, bytes] : program_.consts) {
+        const auto padded = pad_to_xfer(bytes.data(), bytes.size());
+        spare.host_write(symbol, 0, padded.data(), padded.size());
+      }
+      std::vector<std::uint8_t> slot(program_.in_stride);
+      std::vector<std::uint8_t> result(program_.out_stride);
+      const std::uint32_t per_dpu = plan.items_per_dpu;
+      for (std::size_t base = 0; base < count; base += per_dpu) {
+        const std::uint64_t chunk =
+            std::min<std::size_t>(per_dpu, count - base);
+        for (std::uint64_t s = 0; s < chunk; ++s) {
+          std::fill(slot.begin(), slot.end(), 0);
+          std::memcpy(slot.data(), items[first + base + s].data(),
+                      program_.item_bytes);
+          spare.host_write(program_.in_symbol, s * program_.in_stride,
+                           slot.data(), program_.in_stride);
+        }
+        spare.host_write("meta", 0, &chunk, sizeof(chunk));
+        spare.launch(plan.n_tasklets, opt);
+        for (std::uint64_t s = 0; s < chunk; ++s) {
+          spare.host_read(program_.out_symbol, s * program_.out_stride,
+                          result.data(), program_.out_stride);
+          tail(plan, first + base + s, result.data());
+        }
+      }
+    };
+    return {tail, on_spare};
+  };
 }
 
 } // namespace pimdnn::core

@@ -7,20 +7,12 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "map/mapper.hpp"
-#include "map/space.hpp"
 #include "nn/bitpack.hpp"
 #include "nn/layers.hpp"
-#include "obs/trace.hpp"
-#include "runtime/host_timer.hpp"
-#include "runtime/kernel_session.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/report.hpp"
 
 namespace pimdnn::ebnn {
 
-using runtime::DpuPool;
-using runtime::KernelSession;
 using sim::MemKind;
 using sim::TaskletCtx;
 
@@ -187,21 +179,27 @@ DeepEbnnActivations DeepEbnnReference::infer(
   }
 
   DeepEbnnActivations a;
-  a.feature = map;
+  a.feature = std::move(map);
+  infer_tail(a.feature, a.probs, a.predicted);
+  return a;
+}
+
+void DeepEbnnReference::infer_tail(const std::vector<int>& feature,
+                                   std::vector<float>& probs,
+                                   int& predicted) const {
   std::vector<float> logits(static_cast<std::size_t>(cfg_.classes), 0.0f);
-  const std::size_t nfeat = map.size();
+  const std::size_t nfeat = feature.size();
   for (int c = 0; c < cfg_.classes; ++c) {
     float acc = 0.0f;
     for (std::size_t i = 0; i < nfeat; ++i) {
       acc += w_.fc[static_cast<std::size_t>(c) * nfeat + i] *
-             (map[i] != 0 ? 1.0f : -1.0f);
+             (feature[i] != 0 ? 1.0f : -1.0f);
     }
     logits[static_cast<std::size_t>(c)] = acc;
   }
-  a.probs.assign(logits.size(), 0.0f);
-  nn::softmax(logits, a.probs);
-  a.predicted = static_cast<int>(nn::argmax(a.probs));
-  return a;
+  probs.assign(logits.size(), 0.0f);
+  nn::softmax(logits, probs);
+  predicted = static_cast<int>(nn::argmax(probs));
 }
 
 // ---- DPU side ---------------------------------------------------------------
@@ -220,6 +218,8 @@ struct DeepKernelParams {
   std::size_t map_bytes;  ///< per-tasklet size of each ping-pong map
   std::size_t conv_elems; ///< per-tasklet conv buffer (int16 elements)
   std::uint32_t capacity; ///< images per DPU
+  MemSize conv_words;     ///< conv tap words over all blocks
+  MemSize lut_bytes;      ///< LUT bytes over all blocks
 };
 
 void deep_tasklet(TaskletCtx& ctx, const DeepKernelParams& p) {
@@ -540,6 +540,8 @@ DeepKernelParams make_params(const DeepEbnnConfig& cfg,
   p.result_stride = align_up(
       nn::words_for_bits(feat_bits) * sizeof(std::uint32_t), kXferAlign);
 
+  p.conv_words = woff;
+  p.lut_bytes = loff;
   // WRAM budget -> images per DPU: shared symbols + per-tasklet buffers.
   const MemSize shared = 8 + align_up(woff * 4, kXferAlign) +
                          align_up(loff, kXferAlign);
@@ -556,8 +558,7 @@ DeepKernelParams make_params(const DeepEbnnConfig& cfg,
   return p;
 }
 
-sim::DpuProgram make_deep_program(const DeepKernelParams& p,
-                                  MemSize conv_words, MemSize lut_bytes) {
+sim::DpuProgram make_deep_program(const DeepKernelParams& p) {
   sim::DpuProgram prog;
   prog.name = "ebnn_deep";
   prog.iram_bytes = 8 * 1024;
@@ -565,8 +566,8 @@ sim::DpuProgram make_deep_program(const DeepKernelParams& p,
       {"images", MemKind::Mram, p.capacity * p.image_stride},
       {"results", MemKind::Mram, p.capacity * p.result_stride},
       {"meta", MemKind::Wram, 8},
-      {"conv_w", MemKind::Wram, align_up(conv_words * 4, kXferAlign)},
-      {"luts", MemKind::Wram, align_up(lut_bytes, kXferAlign)},
+      {"conv_w", MemKind::Wram, align_up(p.conv_words * 4, kXferAlign)},
+      {"luts", MemKind::Wram, align_up(p.lut_bytes, kXferAlign)},
       {"map_a", MemKind::Wram, p.capacity * p.map_bytes},
       {"map_b", MemKind::Wram, p.capacity * p.map_bytes},
       {"conv_buf", MemKind::Wram, p.capacity * p.conv_elems * 2},
@@ -575,6 +576,40 @@ sim::DpuProgram make_deep_program(const DeepKernelParams& p,
   prog.entry = [p](TaskletCtx& ctx) { deep_tasklet(ctx, p); };
   prog.fast_entry = [p](TaskletCtx& ctx) { deep_tasklet_fast(ctx, p); };
   return prog;
+}
+
+/// The deep network's batch program: per-block weights and LUTs are WRAM
+/// constants, concatenated once here.
+core::BatchProgram deep_batch_program(const DeepEbnnConfig& cfg,
+                                      const DeepEbnnWeights& w,
+                                      const runtime::UpmemConfig& sys) {
+  const std::vector<DeepBlockDims> dims = deep_dims(cfg);
+  const DeepKernelParams params = make_params(cfg, dims, sys);
+  std::vector<std::uint32_t> conv_words;
+  std::vector<std::uint8_t> lut_bytes;
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    conv_words.insert(conv_words.end(), w.conv[b].begin(), w.conv[b].end());
+    const BnBinactLut lut =
+        build_bn_binact_lut_range(-dims[b].taps, dims[b].taps, w.bn[b]);
+    lut_bytes.insert(lut_bytes.end(), lut.table.begin(), lut.table.end());
+  }
+
+  core::BatchProgram p;
+  p.signature = "ebnn_deep";
+  p.build = [params] { return make_deep_program(params); };
+  p.pipeline = "deep_ebnn";
+  p.capacity = params.capacity;
+  p.item_bytes = static_cast<MemSize>(cfg.img_h) * cfg.img_w;
+  p.in_stride = params.image_stride;
+  p.out_stride = params.result_stride;
+  p.in_symbol = "images";
+  p.out_symbol = "results";
+  p.consts = {{"conv_w", to_bytes(conv_words)}, {"luts", lut_bytes}};
+  p.kernel_cost = [cfg](std::uint32_t items, std::uint32_t t,
+                        runtime::OptLevel opt) {
+    return estimate_deep_ebnn_wall_cycles(cfg, items, t, opt);
+  };
+  return p;
 }
 
 } // namespace
@@ -646,233 +681,41 @@ DeepEbnnHost::DeepEbnnHost(const DeepEbnnConfig& cfg,
                            const runtime::UpmemConfig& sys)
     : cfg_(cfg),
       weights_(std::move(weights)),
-      sys_(sys),
-      dims_(deep_dims(cfg)),
-      banks_(sys) {
-  for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-    luts_.push_back(build_bn_binact_lut_range(-dims_[b].taps, dims_[b].taps,
-                                              weights_.bn[b]));
-    conv_words_ += weights_.conv[b].size();
-    lut_bytes_ += luts_[b].table.size();
-  }
-  images_per_dpu_ = make_params(cfg_, dims_, sys_).capacity;
-}
+      reference_(cfg_, weights_),
+      images_per_dpu_(make_params(cfg_, deep_dims(cfg_), sys).capacity),
+      engine_(deep_batch_program(cfg_, weights_, sys), sys) {}
 
-runtime::Job DeepEbnnHost::plan_job(const std::vector<Image>& images,
-                                    DeepEbnnBatchResult& out,
-                                    runtime::DpuPool& pool, bool may_split,
-                                    std::uint32_t n_tasklets,
-                                    runtime::OptLevel opt) {
-  require(!images.empty(), "DeepEbnnHost::run: empty batch");
-  const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-  if (n_tasklets != 0) {
-    require(n_tasklets >= 1 && n_tasklets <= params.capacity,
-            "DeepEbnnHost::run: tasklets must be in [1, images_per_dpu]");
-  }
-
-  // Resolve the (images_per_dpu, tasklets, split) mapping through
-  // map::Mapper. `n_tasklets == 0` (the historical "fill the capacity"
-  // default) is the auto sentinel; an explicit count pins the
-  // capacity-filling mapping.
-  map::BatchRequest mreq;
-  mreq.n_items = images.size();
-  mreq.capacity = params.capacity;
-  mreq.kernel_cycles = [this, opt](std::uint32_t items, std::uint32_t t) {
-    return estimate_deep_ebnn_wall_cycles(cfg_, items, t, opt);
+core::Offloader::Bind<DeepEbnnBatchResult> DeepEbnnHost::hooks() const {
+  return [this](const std::vector<Image>& images,
+                DeepEbnnBatchResult& out) -> core::BatchHooks {
+    const auto bits = static_cast<std::size_t>(deep_feature_bits(cfg_));
+    return {
+        [this, &out, bits](const map::MappingPlan& plan, std::size_t,
+                           const std::uint8_t* slot) {
+          // Unpack the packed feature bits, then FC + softmax.
+          out.images_per_dpu = plan.items_per_dpu;
+          std::vector<int> feature(bits);
+          for (std::size_t bit = 0; bit < feature.size(); ++bit) {
+            std::uint32_t word;
+            std::memcpy(&word, slot + bit / 32 * sizeof(word), sizeof(word));
+            feature[bit] = static_cast<int>((word >> (bit % 32)) & 1u);
+          }
+          std::vector<float> probs;
+          int predicted = -1;
+          reference_.infer_tail(feature, probs, predicted);
+          out.predicted.push_back(predicted);
+          out.features.push_back(std::move(feature));
+        },
+        [this, &images, &out](const map::MappingPlan& plan,
+                              std::size_t first, std::size_t count) {
+          out.images_per_dpu = plan.items_per_dpu;
+          for (std::size_t i = 0; i < count; ++i) {
+            DeepEbnnActivations a = reference_.infer(images[first + i].data());
+            out.predicted.push_back(a.predicted);
+            out.features.push_back(std::move(a.feature));
+          }
+        }};
   };
-  mreq.item_in_bytes = params.image_stride;
-  mreq.item_out_bytes = params.result_stride;
-  mreq.const_bytes_per_dpu = conv_words_ * sizeof(std::uint32_t) + lut_bytes_;
-  mreq.pinned_tasklets = n_tasklets == 0 ? map::kAutoTasklets : n_tasklets;
-  mreq.max_split = may_split ? map::kMaxSplitFactor : 1;
-  mreq.limits = map::pool_limits(pool);
-  const map::MappingPlan plan = map::Mapper().plan_batch(mreq);
-  return {KernelSession::dpus_for(images.size(), plan.items_per_dpu),
-          plan.split,
-          [this, &images, plan, opt](const runtime::Chunk& c) {
-            return start_batch(c, images, plan, opt);
-          },
-          [this, &images, plan, &out](const runtime::Chunk& c,
-                                      runtime::Started& started) {
-            finish_batch(c, started, images, plan, out);
-          }};
-}
-
-runtime::Started DeepEbnnHost::start_batch(const runtime::Chunk& c,
-                                           const std::vector<Image>& images,
-                                           const map::MappingPlan& plan,
-                                           runtime::OptLevel opt) {
-  const std::size_t img_bytes =
-      static_cast<std::size_t>(cfg_.img_h) * cfg_.img_w;
-  for (const auto& im : images) {
-    require(im.size() == img_bytes, "DeepEbnnHost::run: wrong image size");
-  }
-  const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-  const std::uint32_t per_dpu = plan.items_per_dpu;
-  const runtime::Chunk::Window w = c.window(images.size(), per_dpu);
-
-  const sim::HostXferStats before = c.pool.host_stats();
-  runtime::Started started;
-  started.session = std::make_unique<KernelSession>(
-      c.pool, "ebnn_deep", KernelSession::dpus_for(w.count, per_dpu),
-      [&] { return make_deep_program(params, conv_words_, lut_bytes_); });
-  KernelSession& session = *started.session;
-  session.annotate(plan.obs_suffix());
-  // A chunk is predicted to carry its share of the plan's transfer volume.
-  session.set_predicted(plan.predicted.kernel_cycles,
-                        (plan.predicted.to_dpu_seconds +
-                         plan.predicted.from_dpu_seconds) *
-                            (static_cast<double>(w.count) /
-                             static_cast<double>(images.size())));
-
-  // Per-block weights and LUTs are WRAM constants: re-broadcast only when
-  // the activation rebuilt or reloaded the program.
-  if (session.activation() != DpuPool::Activation::Active) {
-    std::vector<std::uint32_t> conv_words;
-    std::vector<std::uint8_t> lut_bytes;
-    conv_words.reserve(conv_words_);
-    lut_bytes.reserve(lut_bytes_);
-    for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-      conv_words.insert(conv_words.end(), weights_.conv[b].begin(),
-                        weights_.conv[b].end());
-      lut_bytes.insert(lut_bytes.end(), luts_[b].table.begin(),
-                       luts_[b].table.end());
-    }
-    session.broadcast("conv_w", conv_words.data(), conv_words.size() * 4);
-    session.broadcast("luts", lut_bytes.data(), lut_bytes.size());
-  }
-
-  session.scatter_items("images", "meta", w.count, per_dpu,
-                        params.image_stride, img_bytes, [&](std::size_t i) {
-                          return images[w.first + i].data();
-                        });
-
-  const sim::HostXferStats d =
-      sim::host_xfer_delta(c.pool.host_stats(), before);
-  c.xfer(d.to_dpu_seconds + d.load_seconds);
-  started.handle = session.launch_async(plan.n_tasklets, opt);
-  return started;
-}
-
-void DeepEbnnHost::finish_batch(const runtime::Chunk& c,
-                                runtime::Started& started,
-                                const std::vector<Image>& images,
-                                const map::MappingPlan& plan,
-                                DeepEbnnBatchResult& out) {
-  KernelSession& session = *started.session;
-  const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-  const std::uint32_t per_dpu = plan.items_per_dpu;
-  const runtime::Chunk::Window w = c.window(images.size(), per_dpu);
-  const std::size_t feat_words =
-      params.result_stride / sizeof(std::uint32_t);
-  const std::size_t feat_bits =
-      static_cast<std::size_t>(deep_feature_bits(cfg_));
-
-  out.split = static_cast<std::uint32_t>(c.count);
-  out.dpus_used += session.n_dpus();
-  out.images_per_dpu = per_dpu;
-
-  runtime::HostTimer ht;
-  // A degraded session routes the chunk through the reference model,
-  // which is bit-identical to the DPU kernel.
-  if (!started.handle.wait()) {
-    ht.start();
-    DeepEbnnReference ref(cfg_, weights_);
-    for (std::size_t i = 0; i < w.count; ++i) {
-      DeepEbnnActivations a = ref.infer(images[w.first + i].data());
-      out.predicted.push_back(a.predicted);
-      out.features.push_back(std::move(a.feature));
-    }
-    const Seconds tail = ht.elapsed();
-    out.host_tail_seconds += tail;
-    c.fold(out.launch, session.finish());
-    c.host(tail);
-    return;
-  }
-
-  // Batched gather of the raw feature words, then the host tail per image.
-  const sim::HostXferStats before = c.pool.host_stats();
-  std::vector<std::uint32_t> words(w.count * feat_words);
-  session.gather_items(
-      "results", w.count, per_dpu, params.result_stride,
-      [&](std::size_t i, const std::uint8_t* slot) {
-        std::memcpy(words.data() + i * feat_words, slot,
-                    feat_words * sizeof(std::uint32_t));
-      });
-  const sim::HostXferStats gathered =
-      sim::host_xfer_delta(c.pool.host_stats(), before);
-
-  ht.start();
-  for (std::size_t i = 0; i < w.count; ++i) {
-    const std::uint32_t* wd = words.data() + i * feat_words;
-    std::vector<int> feature(feat_bits);
-    for (std::size_t bit = 0; bit < feat_bits; ++bit) {
-      feature[bit] = static_cast<int>((wd[bit / 32] >> (bit % 32)) & 1u);
-    }
-    // FC tail on the host using the reference weights.
-    std::vector<float> logits(static_cast<std::size_t>(cfg_.classes),
-                              0.0f);
-    for (int cl = 0; cl < cfg_.classes; ++cl) {
-      float acc = 0.0f;
-      for (std::size_t b = 0; b < feat_bits; ++b) {
-        acc += weights_.fc[static_cast<std::size_t>(cl) * feat_bits + b] *
-               (feature[b] != 0 ? 1.0f : -1.0f);
-      }
-      logits[static_cast<std::size_t>(cl)] = acc;
-    }
-    std::vector<float> probs(logits.size());
-    nn::softmax(logits, probs);
-    out.predicted.push_back(static_cast<int>(nn::argmax(probs)));
-    out.features.push_back(std::move(feature));
-  }
-  const Seconds tail = ht.elapsed();
-  out.host_tail_seconds += tail;
-  const runtime::LaunchStats stats = session.finish();
-  c.fold(out.launch, stats);
-
-  c.kernel(stats.wall_seconds);
-  c.xfer(gathered.from_dpu_seconds);
-  c.host(tail);
-}
-
-DeepEbnnBatchResult DeepEbnnHost::run(const std::vector<Image>& images,
-                                      std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt) {
-  obs::Span batch_sp("deep_ebnn.batch", "pipeline");
-  if (batch_sp.active()) {
-    batch_sp.u64("n_images", images.size());
-  }
-  DeepEbnnBatchResult out;
-  banks_.run(1, [&](std::size_t, runtime::DpuPool& pool, bool may_split) {
-    return plan_job(images, out, pool, may_split, n_tasklets, opt);
-  });
-  return out;
-}
-
-DeepEbnnPipelineResult DeepEbnnHost::run_pipelined(
-    const std::vector<std::vector<Image>>& batches,
-    std::uint32_t n_tasklets, runtime::OptLevel opt) {
-  DeepEbnnPipelineResult out;
-  out.batches.resize(batches.size());
-  if (batches.empty()) {
-    return out;
-  }
-  runtime::PipelineRun run("deep_ebnn", "n_batches", batches.size());
-  banks_.run(
-      batches.size(),
-      [&](std::size_t i, runtime::DpuPool& pool, bool may_split) {
-        return plan_job(batches[i], out.batches[i], pool, may_split,
-                          n_tasklets, opt);
-      },
-      &run.model());
-  out.pipeline =
-      run.close(out.timeline, "deep_ebnn.batch", [&](std::size_t i) {
-        const DeepEbnnBatchResult& b = out.batches[i];
-        return (b.launch.host.host_seconds() + b.launch.wall_seconds +
-                b.host_tail_seconds) *
-               1e3;
-      });
-  return out;
 }
 
 } // namespace pimdnn::ebnn

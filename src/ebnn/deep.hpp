@@ -16,15 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "core/offloader.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
 #include "ebnn/model.hpp"
-#include "runtime/banked_executor.hpp"
-#include "runtime/dpu_set.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace pimdnn::ebnn {
 
@@ -101,38 +98,26 @@ public:
   /// Full inference of one grayscale image.
   DeepEbnnActivations infer(const std::uint8_t* image) const;
 
+  /// Runs only the host-side tail (FC + softmax) on the last block's
+  /// feature bits, as the host does with DPU results.
+  void infer_tail(const std::vector<int>& feature, std::vector<float>& probs,
+                  int& predicted) const;
+
 private:
   const DeepEbnnConfig& cfg_;
   const DeepEbnnWeights& w_;
   std::vector<DeepBlockDims> dims_;
 };
 
-/// Result of a batched deep-eBNN DPU run.
-struct DeepEbnnBatchResult {
+/// Result of a batched deep-eBNN DPU run (core::BatchStats + outputs).
+struct DeepEbnnBatchResult : core::BatchStats {
   std::vector<int> predicted;
   std::vector<std::vector<int>> features;
-  runtime::LaunchStats launch;
-  /// DPUs used (total across sub-launches when split).
-  std::uint32_t dpus_used = 0;
-  std::uint32_t images_per_dpu = 0; ///< derived from the WRAM budget
-  /// Measured host tail of this batch (unpack + FC + softmax; the whole
-  /// reference inference on a degraded batch).
-  Seconds host_tail_seconds = 0.0;
-  /// Sub-launches the batch was carved into (1 = the unsplit executor; >1
-  /// when the mapper chose a dual-bank split plan).
-  std::uint32_t split = 1;
+  std::uint32_t images_per_dpu = 0; ///< the mapping's images per DPU
 };
 
 /// Result of a double-buffered multi-batch deep-eBNN run.
-struct DeepEbnnPipelineResult {
-  /// Per-batch results, bit-identical to serial `run` calls.
-  std::vector<DeepEbnnBatchResult> batches;
-  /// Modeled overlapped timeline vs. the serial equivalent.
-  runtime::PipelineStats pipeline;
-  /// Independent reconstruction from the emitted `pipe.stage` spans;
-  /// present only when tracing was enabled for the run.
-  std::optional<obs::TimelineReport> timeline;
-};
+using DeepEbnnPipelineResult = core::PipelineResult<DeepEbnnBatchResult>;
 
 /// Host app mapping the deep network onto DPUs (LUT BN-BinAct only —
 /// the single-block soft-float ablation already covers the float story).
@@ -141,14 +126,16 @@ public:
   DeepEbnnHost(const DeepEbnnConfig& cfg, DeepEbnnWeights weights,
                const runtime::UpmemConfig& sys = sim::default_config());
 
-  /// Runs a batch. `n_tasklets = 0` (the historical default) asks
-  /// `map::Mapper` for the whole mapping — images per DPU and tasklets
-  /// from the cost-model search, PIMDNN_MAPPING honored; the paper mapping
-  /// fills the WRAM capacity with one tasklet per image slot. An explicit
-  /// count pins capacity-filling images with that many tasklets.
+  /// Runs a batch. `n_tasklets` defaults to the `map::Mapper` sentinel:
+  /// images per DPU and tasklets come from the cost-model search,
+  /// PIMDNN_MAPPING honored; the paper mapping fills the WRAM capacity with
+  /// one tasklet per image slot. An explicit count pins capacity-filling
+  /// images with that many tasklets.
   DeepEbnnBatchResult run(const std::vector<Image>& images,
-                          std::uint32_t n_tasklets = 0,
-                          runtime::OptLevel opt = runtime::OptLevel::O3);
+                          std::uint32_t n_tasklets = map::kAutoTasklets,
+                          runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return engine_.run(images, hooks(), n_tasklets, opt);
+  }
 
   /// Runs `batches` double-buffered over two bank pools, exactly like
   /// EbnnHost::run_pipelined: batch i runs on bank i%2, its scatter
@@ -156,44 +143,28 @@ public:
   /// bit-identical to serial `run` calls on the same inputs.
   DeepEbnnPipelineResult run_pipelined(
       const std::vector<std::vector<Image>>& batches,
-      std::uint32_t n_tasklets = 0,
-      runtime::OptLevel opt = runtime::OptLevel::O3);
+      std::uint32_t n_tasklets = map::kAutoTasklets,
+      runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return engine_.run_pipelined(batches, hooks(), n_tasklets, opt);
+  }
 
   /// Images one DPU can hold given the WRAM budget (1..16).
   std::uint32_t images_per_dpu() const { return images_per_dpu_; }
 
   /// Cumulative host-side accounting of the host's pools across every
   /// batch run so far.
-  sim::HostXferStats pool_host_stats() const { return banks_.host_stats(); }
+  sim::HostXferStats pool_host_stats() const { return engine_.host_stats(); }
 
 private:
-  /// The plan request (see EbnnHost::plan_job). `n_tasklets == 0` (the
-  /// historical "fill the capacity" default) is the auto sentinel.
-  runtime::Job plan_job(const std::vector<Image>& images,
-                        DeepEbnnBatchResult& out, runtime::DpuPool& pool,
-                        bool may_split, std::uint32_t n_tasklets,
-                        runtime::OptLevel opt);
-
-  runtime::Started start_batch(const runtime::Chunk& c,
-                               const std::vector<Image>& images,
-                               const map::MappingPlan& plan,
-                               runtime::OptLevel opt);
-
-  void finish_batch(const runtime::Chunk& c, runtime::Started& started,
-                    const std::vector<Image>& images,
-                    const map::MappingPlan& plan, DeepEbnnBatchResult& out);
+  /// Binds the tail (unpack + FC + softmax per image) and the
+  /// reference-model fallback to a batch.
+  core::Offloader::Bind<DeepEbnnBatchResult> hooks() const;
 
   DeepEbnnConfig cfg_;
   DeepEbnnWeights weights_;
-  runtime::UpmemConfig sys_;
-  std::vector<DeepBlockDims> dims_;
-  std::vector<BnBinactLut> luts_;
-  /// Conv words and LUT bytes over all blocks: the program's symbol sizes
-  /// and the broadcast volume.
-  std::size_t conv_words_ = 0;
-  std::size_t lut_bytes_ = 0;
+  DeepEbnnReference reference_;
   std::uint32_t images_per_dpu_;
-  runtime::BankedExecutor banks_;
+  core::Offloader engine_;
 };
 
 } // namespace pimdnn::ebnn

@@ -113,6 +113,7 @@ void DpuPool::reset_cache() {
   entries_.clear();
   active_.clear();
   mram_cursor_ = 0;
+  const_dpus_ = 0;
 }
 
 void DpuPool::drop_residents() {
@@ -212,6 +213,7 @@ void DpuPool::load_program(const sim::DpuProgram& prog) {
     sp.u64("n_dpus", set_->size());
   }
   set_->load(prog);
+  const_dpus_ = 0; // the new program's WRAM constants are not sent yet
 }
 
 bool DpuPool::resident_matches(const std::string& tag,
@@ -275,9 +277,9 @@ bool DpuPool::note_fault(std::uint32_t phys, sim::FaultKind kind) {
 
 void DpuPool::remap_in_service() {
   // Slide the logical prefix onto the in-service DPUs. The remapped DPUs
-  // hold none of the previously scattered payloads, so every resident
-  // record is dropped — the next session re-uploads through the normal
-  // miss path. Bump the epoch so plan caches re-fit the new capacity.
+  // hold none of the previous payloads or constants, so every resident
+  // record and the constant count drop — the next session re-uploads
+  // through the normal miss path. Bump the epoch so plan caches re-fit.
   std::vector<std::uint32_t> map;
   map.reserve(set_->size());
   for (std::uint32_t i = 0; i < set_->size(); ++i) {
@@ -287,6 +289,7 @@ void DpuPool::remap_in_service() {
   }
   set_->set_logical_map(std::move(map));
   drop_residents();
+  const_dpus_ = 0;
   ++health_epoch_;
   update_health_gauges();
 }

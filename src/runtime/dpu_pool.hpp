@@ -34,11 +34,12 @@
 // per-DPU faults through `note_fault`; when the decaying strike window
 // trips (immediately for a permanently-bad DPU) the DPU is quarantined,
 // the set's logical prefix is remapped onto the remaining in-service DPUs
-// and every resident record is dropped — the remapped DPUs never saw
-// those uploads. Unlike PR 4's one-way quarantine, capacity comes *back*:
-// `maintain()` (called by every KernelSession::finish) ticks the health
-// clock, canary-probes one due quarantined DPU per step and, after
-// `probation_passes` clean probes, reintegrates it — remapping again,
+// and every resident record and the constant count (`const_dpus`) are
+// dropped — the remapped DPUs never saw those uploads. Unlike a one-way
+// quarantine, capacity comes *back*: `maintain()` (called by every
+// KernelSession::finish) ticks the health clock, canary-probes one due
+// quarantined DPU per step and, after `probation_passes` clean probes,
+// reintegrates it — remapping again,
 // bumping `health_epoch()` so mapping-plan caches re-plan, and clearing
 // the active program so the next session re-uploads WRAM constants the
 // returning DPU never saw. `scrub_step()` (called by fault-tolerant
@@ -107,7 +108,7 @@ public:
     /// data survives) but WRAM metadata was clobbered by other programs
     /// and must be re-broadcast.
     Switched,
-    /// The signature is already the active program: nothing to re-upload.
+    /// The signature is already the active program: nothing was re-loaded.
     Active,
   };
 
@@ -233,6 +234,14 @@ public:
   /// DPU span of the active program (what launches/transfers should use).
   std::uint32_t active_dpus() const;
 
+  /// Logical DPUs [0, n) known to hold every WRAM constant of the active
+  /// program; every program load, logical-map change and cache reset
+  /// zeroes it (see KernelSession::broadcast_const).
+  std::uint32_t const_dpus() const { return const_dpus_; }
+
+  /// Records that logical DPUs [0, n) hold the active program's constants.
+  void set_const_dpus(std::uint32_t n) { const_dpus_ = n; }
+
   /// The pooled set. Valid after the first reserve/activate. Transfers and
   /// launches should pass `active_dpus()` as `n_active`.
   DpuSet& set();
@@ -300,6 +309,7 @@ private:
   std::optional<DpuSet> set_;
   std::map<std::string, Entry> entries_;
   std::string active_;           ///< empty = no active program
+  std::uint32_t const_dpus_ = 0; ///< see const_dpus()
   MemSize mram_cursor_ = 0;      ///< bump allocator over cached regions
   std::uint64_t resets_ = 0;
   sim::HostXferStats carried_;   ///< host stats of replaced sets

@@ -45,6 +45,8 @@ KernelSession::KernelSession(DpuPool& pool, const std::string& signature,
   if (!degraded_ && fault_tolerant_ && pool_.healthy_capacity() < n_dpus_) {
     degrade("healthy capacity below kernel need");
   }
+  consts_resident_ = !degraded_ && activation_ == DpuPool::Activation::Active &&
+                     pool_.const_dpus() >= n_dpus_;
   if (!degraded_ && fault_tolerant_) {
     // Scrub patrol between launches, piggybacked on session setup: runs
     // right after activation (a program switch re-load is where silent
@@ -185,13 +187,16 @@ bool KernelSession::broadcast_const(const std::string& symbol,
   if (sp.active()) {
     sp.str("symbol", symbol);
   }
-  if (!degraded_ && activation_ == DpuPool::Activation::Active) {
+  if (!degraded_ && consts_resident_) {
     ++const_hits_;
     sp.flag("skipped", true);
-    return false; // program never left the DPUs: WRAM upload still there
+    return false; // every session DPU still holds the program's constants
   }
   ++const_misses_;
   sp.flag("skipped", false);
+  if (!degraded_) {
+    pool_.set_const_dpus(0); // held again only once this session launches
+  }
   broadcast(symbol, data, bytes);
   return true;
 }
@@ -398,6 +403,9 @@ bool KernelSession::launch(const LaunchOptions& opts) {
       stats_ = set().launch(opts.n_tasklets, opts.opt, n_dpus_);
       launched_ = true;
       pool_.breaker_result(true);
+      if (const_misses_ > 0) {
+        pool_.set_const_dpus(n_dpus_); // this session's constants all landed
+      }
       break;
     } catch (const sim::DpuFault& f) {
       ++absorbed_;

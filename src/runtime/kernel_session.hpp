@@ -20,10 +20,11 @@
 // uniformly across every pipeline.
 //
 // Residency contract (what a caller may skip re-uploading):
-//  * WRAM constants (weights, LUTs, metadata) survive only while the
-//    program stays the pool's *active* program — any switch or rebuild
-//    clobbers WRAM. `broadcast_const` encodes this: it re-sends unless the
-//    activation was `Active`.
+//  * WRAM constants (weights, LUTs) survive only while the program stays
+//    active on the same logical DPUs. The pool counts the logical DPUs
+//    that hold them (`DpuPool::const_dpus`; every load, remap or cache
+//    reset zeroes it), and `broadcast_const` skips only while that count
+//    covers the session.
 //  * MRAM payloads survive program switches (each cached program owns a
 //    disjoint MRAM region) but not pool resets/growth. `scatter_resident`
 //    encodes this via the pool's two-phase `begin_resident`/
@@ -91,7 +92,7 @@ public:
   KernelSession(const KernelSession&) = delete;
   KernelSession& operator=(const KernelSession&) = delete;
 
-  /// What the activation had to do — callers gate re-uploads on this.
+  /// What the activation had to do (constants gate on broadcast_const).
   DpuPool::Activation activation() const { return activation_; }
 
   /// DPU span this session addresses.
@@ -111,9 +112,10 @@ public:
   /// padding to the 8-byte transfer rule automatically.
   void broadcast(const std::string& symbol, const void* data, MemSize bytes);
 
-  /// Broadcasts a WRAM-resident constant: skipped (returns false) when the
-  /// activation was `Active`, i.e. the program never left the DPUs and its
-  /// WRAM still holds the previous upload. Any other activation re-sends.
+  /// Broadcasts a WRAM-resident constant, skipped (returns false) when the
+  /// activation was `Active` and `DpuPool::const_dpus` covered the session.
+  /// Decided once per session; a sending session zeroes the count and
+  /// raises it to its span once its launch succeeds.
   bool broadcast_const(const std::string& symbol, const void* data,
                        MemSize bytes);
 
@@ -279,6 +281,7 @@ private:
   /// True when fault injection is enabled: uploads are logged + verified.
   bool fault_tolerant_ = false;
   bool degraded_ = false;
+  bool consts_resident_ = false; ///< broadcast_const skips (decided once)
   std::uint32_t retries_ = 0;        ///< launch attempts repeated
   std::uint32_t absorbed_ = 0;       ///< faults absorbed (retry or repair)
   std::uint32_t quarantines_ = 0;    ///< DPUs quarantined this session

@@ -144,6 +144,8 @@ TEST(DeepHost, ValidatesInputs) {
   EXPECT_THROW(host.run({}), UsageError);
   EXPECT_THROW(host.run({Image(5, 0)}), UsageError);
   EXPECT_THROW(host.run({Image(28 * 28, 0)}, 17), UsageError);
+  // 0 is not the auto sentinel (map::kAutoTasklets is), as on EbnnHost.
+  EXPECT_THROW(host.run({Image(28 * 28, 0)}, 0), UsageError);
 }
 
 } // namespace

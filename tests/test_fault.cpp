@@ -1,19 +1,22 @@
 // Fault-injection substrate + self-healing runtime tests: PIMDNN_FAULTS
 // grammar parsing, deterministic draws, typed DpuFault launch errors, pool
 // strike/quarantine/remap policy, session retry + upload replay after a
-// quarantine, degradation to the bit-identical CPU path, hang-deadline
-// cycle accounting, finish() misuse, and allocation-fault exception safety
-// of DpuPool::reserve.
+// quarantine, WRAM constants that follow remaps, degradation to the
+// bit-identical CPU path, hang-deadline cycle accounting, finish() misuse,
+// and allocation-fault exception safety of DpuPool::reserve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/sim_mode.hpp"
+#include "core/offloader.hpp"
 #include "ebnn/deep.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/mnist_synth.hpp"
@@ -337,6 +340,87 @@ TEST_P(FaultTest, EbnnPipelinesSurviveFaultsBitExactly) {
   EXPECT_EQ(deep_faulty.features, deep_clean.features);
 
   EXPECT_GT(obs::Metrics::instance().counter("faults.injected"), 0u);
+}
+
+TEST_P(FaultTest, WarmConstantsFollowQuarantineRemaps) {
+  // 12 batches alternating 4 and 2 DPUs wide under a 30% per-DPU launch
+  // fault rate, one host per seed and client. Quarantines remap the
+  // logical prefix onto DPUs that never received the WRAM constants, and
+  // a narrow batch that re-sends them is followed by a wide warm one;
+  // every batch must still match the clean run. Seeds 5 and 9 each lead
+  // all three batch clients through such a batch.
+  ebnn::EbnnConfig cfg;
+  cfg.filters = 8;
+  const auto weights = ebnn::EbnnWeights::random(cfg, 42);
+  ebnn::DeepEbnnConfig dcfg;
+  dcfg.blocks = {{4}};
+  const auto dweights = ebnn::DeepEbnnWeights::random(dcfg, 42);
+  const auto images = ebnn::images_only(ebnn::make_synthetic_mnist(64, 11));
+  core::WorkloadSpec spec;
+  spec.name = "addc";
+  spec.item_in_bytes = 8;
+  spec.item_out_bytes = 8;
+  spec.items_per_dpu = 4;
+  spec.consts = {3, 1, 4, 1, 5, 9, 2, 6};
+  const auto kernel = [](core::ItemCtx& ic) {
+    for (int i = 0; i < 8; ++i) {
+      ic.output[i] = static_cast<std::uint8_t>(ic.input[i] + ic.consts[i]);
+    }
+    ic.ctx.charge_alu(8);
+  };
+  std::vector<std::vector<std::uint8_t>> items(16);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i].assign(8, static_cast<std::uint8_t>(i * 7));
+  }
+  const auto first = [](const auto& v, std::size_t n) {
+    return std::decay_t<decltype(v)>(v.begin(), v.begin() + n);
+  };
+  const std::uint32_t deep_cap =
+      ebnn::DeepEbnnHost(dcfg, dweights).images_per_dpu();
+
+  // Each client runs `batch(width)` on its own host; `clean` is its result
+  // for the 4- and 2-DPU batches without faults.
+  const auto check = [&](const char* client, auto make_host, auto batch) {
+    std::vector<decltype(batch(*make_host(), 4))> clean;
+    {
+      auto host = make_host();
+      clean = {batch(*host, 4), batch(*host, 2)};
+    }
+    for (const std::uint64_t seed : {5u, 9u}) {
+      FaultConfig fcfg;
+      fcfg.seed = seed;
+      fcfg.launch_fail_rate = 0.3;
+      sim::set_fault_config(fcfg);
+      auto host = make_host();
+      for (int b = 0; b < 12; ++b) {
+        EXPECT_EQ(batch(*host, b % 2 == 0 ? 4 : 2), clean[b % 2])
+            << client << " seed " << seed << " batch " << b;
+      }
+      sim::set_fault_config(FaultConfig{});
+    }
+  };
+  check(
+      "ebnn",
+      [&] {
+        return std::make_unique<ebnn::EbnnHost>(cfg, weights,
+                                                ebnn::BnMode::HostLut);
+      },
+      [&](ebnn::EbnnHost& h, std::size_t dpus) {
+        return h.run(first(images, dpus * 16), 16).features;
+      });
+  check(
+      "deep_ebnn",
+      [&] { return std::make_unique<ebnn::DeepEbnnHost>(dcfg, dweights); },
+      [&](ebnn::DeepEbnnHost& h, std::size_t dpus) {
+        return h.run(first(images, dpus * deep_cap), deep_cap).features;
+      });
+  check(
+      "offload",
+      [&] { return std::make_unique<core::Offloader>(spec, kernel); },
+      [&](core::Offloader& h, std::size_t dpus) {
+        return h.run(first(items, dpus * 4), 4).outputs;
+      });
+  EXPECT_GT(obs::Metrics::instance().counter("pool.quarantined"), 0u);
 }
 
 // ---- finish() misuse -------------------------------------------------------

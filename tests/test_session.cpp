@@ -1,13 +1,15 @@
-// KernelSession tests: the shared offload choreography (activation-gated
+// KernelSession tests: the shared offload choreography (residency-gated
 // constant broadcast, resident scatter skip, padded-tail gather, per-session
-// host-stat deltas) plus cold/warm parity of the pooled eBNN and deep-eBNN
-// hosts — warm batches must be bit-exact while moving strictly fewer bytes.
+// host-stat deltas) plus cold/warm parity of the pooled eBNN, deep-eBNN and
+// item-kernel batch clients — warm batches must be bit-exact while moving
+// exactly their WRAM constants fewer bytes.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "core/offloader.hpp"
 #include "ebnn/deep.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
@@ -15,6 +17,7 @@
 #include "ebnn/model.hpp"
 #include "runtime/dpu_pool.hpp"
 #include "runtime/kernel_session.hpp"
+#include "sim/fault.hpp"
 
 namespace pimdnn {
 namespace {
@@ -134,6 +137,21 @@ TEST(Session, BroadcastConstGatesOnActivation) {
   out = echo_once(pool, in, 5, nullptr, &sent);
   EXPECT_TRUE(sent);
   EXPECT_EQ(out[0], 6u);
+
+  // A quarantine remap slides the logical prefix onto a DPU that never
+  // received the constant: the program is still Active, yet the next
+  // session must re-send (3 items at 2 per DPU span 2 DPUs).
+  DpuPool remapped;
+  remapped.reserve(3);
+  out = echo_once(remapped, in, 40, nullptr, &sent);
+  EXPECT_TRUE(sent);
+  ASSERT_TRUE(remapped.note_fault(0, sim::FaultKind::BadDpu));
+  out = echo_once(remapped, in, 40, nullptr, &sent);
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{41, 42, 43}));
+  std::uint64_t held = 0;
+  remapped.set().copy_from(1, "consts", 0, &held, sizeof(held));
+  EXPECT_EQ(held, 40u); // logical DPU 1 is physical DPU 2
 }
 
 TEST(Session, ScatterResidentSkipsUntilVersionBump) {
@@ -333,7 +351,24 @@ TEST(DeepEbnnPool, WarmBatchBitExactWithCheaperHostPath) {
   EXPECT_EQ(cold.launch.host.program_loads, std::min(cold.split, 2u));
   EXPECT_EQ(warm.launch.host.program_loads, 0u);
   EXPECT_EQ(warm.launch.host.cached_activations, warm.split);
-  EXPECT_LT(warm.launch.host.bytes_to_dpu, cold.launch.host.bytes_to_dpu);
+  // Warm re-sends only images + counts: exactly the per-block conv words
+  // and LUTs drop out. With at most two sub-launches each is its bank's
+  // first, so the cold batch sent them once to every DPU it used.
+  ASSERT_LE(cold.split, 2u);
+  std::size_t conv_words = 0;
+  std::size_t lut_bytes = 0;
+  const auto dims = eb::deep_dims(cfg);
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    conv_words += w.conv[b].size();
+    lut_bytes +=
+        eb::build_bn_binact_lut_range(-dims[b].taps, dims[b].taps, w.bn[b])
+            .bytes();
+  }
+  const std::uint64_t resident_bytes =
+      align_up(conv_words * sizeof(std::uint32_t), kXferAlign) +
+      align_up(lut_bytes, kXferAlign);
+  EXPECT_EQ(cold.launch.host.bytes_to_dpu - warm.launch.host.bytes_to_dpu,
+            cold.dpus_used * resident_bytes);
   EXPECT_EQ(cold.launch.host.bytes_from_dpu, warm.launch.host.bytes_from_dpu);
   EXPECT_GT(cold.launch.host.host_seconds(), 0.0);
   EXPECT_GT(warm.launch.host.host_seconds(), 0.0);
@@ -341,6 +376,41 @@ TEST(DeepEbnnPool, WarmBatchBitExactWithCheaperHostPath) {
   // The host's cumulative pool ledger covers both batches.
   EXPECT_EQ(host.pool_host_stats().bytes_to_dpu,
             cold.launch.host.bytes_to_dpu + warm.launch.host.bytes_to_dpu);
+}
+
+// ---- item-kernel offloader: cold/warm parity -------------------------------
+
+TEST(OffloaderPool, WarmBatchSkipsExactlyTheConstants) {
+  core::WorkloadSpec spec;
+  spec.name = "add";
+  spec.item_in_bytes = 8;
+  spec.item_out_bytes = 8;
+  spec.items_per_dpu = 4;
+  spec.consts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}; // pads to 16
+  core::Offloader off(spec, [](core::ItemCtx& ic) {
+    for (int i = 0; i < 8; ++i) {
+      ic.output[i] = static_cast<std::uint8_t>(ic.input[i] + ic.consts[i]);
+    }
+    ic.ctx.charge_alu(8);
+  });
+  std::vector<std::vector<std::uint8_t>> items(10,
+                                              std::vector<std::uint8_t>(8));
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i][0] = static_cast<std::uint8_t>(i);
+  }
+
+  const auto cold = off.run(items, 4); // 3 DPUs
+  const auto warm = off.run(items, 4);
+  EXPECT_EQ(warm.outputs, cold.outputs);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(cold.outputs[i][0], i + 1) << "item " << i;
+    EXPECT_EQ(cold.outputs[i][7], 8u) << "item " << i;
+  }
+  EXPECT_EQ(cold.dpus_used, 3u);
+  EXPECT_EQ(warm.launch.host.program_loads, 0u);
+  EXPECT_EQ(cold.launch.host.bytes_to_dpu - warm.launch.host.bytes_to_dpu,
+            cold.dpus_used * align_up(spec.consts.size(), kXferAlign));
+  EXPECT_EQ(cold.launch.host.bytes_from_dpu, warm.launch.host.bytes_from_dpu);
 }
 
 } // namespace
