@@ -1,9 +1,9 @@
 // Paper-scale eBNN run on the full 2,560-DPU system (Table 2.1) — the
 // scale the thesis evaluates but the per-op interpreter made impractical
 // to simulate routinely. The fast execution mode (PIMDNN_SIM_MODE=fast /
-// DpuPool::set_sim_mode) replaces per-op interpretation of the non-barrier
-// kernels with batched native evaluation under identical cycle accounting,
-// so a full-system batch becomes a CI-sized job.
+// DpuPool::set_sim_mode) replaces per-op interpretation of the kernels
+// that have a fast twin with batched native evaluation under identical
+// cycle accounting, so a full-system batch becomes a CI-sized job.
 //
 // The bench fills every DPU (16 images each, §4.1.3's mapping) and runs
 // the identical batch through both executors, reporting:

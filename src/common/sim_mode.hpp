@@ -1,6 +1,6 @@
 // Simulator execution-mode selection (PIMDNN_SIM_MODE).
 //
-// The simulator has two ways to execute a non-barrier kernel body:
+// The simulator has two ways to execute a kernel body:
 //
 //  * `interp` (default) — the per-operation interpreted path: every add,
 //    xor, popcount and soft-float call goes through TaskletCtx, which
@@ -12,11 +12,18 @@
 //    The contract — bit-exact memory, cycle-exact DpuRunStats — is enforced
 //    by the dual-run cross-check tests (tests/test_fast_mode.cpp).
 //
-// Barrier programs and programs without a fast twin always interpret,
-// whatever the mode. The process default comes from the PIMDNN_SIM_MODE
-// environment variable and can be overridden programmatically (benches run
-// both modes in one process); DpuSet/DpuPool snapshot the default at
-// construction and expose per-instance setters.
+// Programs without a fast twin always interpret, whatever the mode. The
+// process default comes from the PIMDNN_SIM_MODE environment variable and
+// can be overridden programmatically (benches run both modes in one
+// process); DpuSet/DpuPool snapshot the default at construction and expose
+// per-instance setters.
+//
+// A phased (barrier) program's twin runs once per phase, like its entry.
+// The mode also fixes the tasklet order inside a phase: interp runs the
+// highest tasklet id first, fast runs tasklet 0 first. Both are legal
+// schedules of the barrier, so a kernel that reads another tasklet's
+// same-phase writes gives different bytes in the two modes, and the
+// dual-run tests catch it.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +31,7 @@
 
 namespace pimdnn {
 
-/// How a Dpu::launch executes non-barrier kernel bodies.
+/// How a Dpu::launch executes kernel bodies.
 enum class SimMode : std::uint8_t {
   Interp, ///< per-operation interpreted execution (default)
   Fast,   ///< batched functional evaluation with closed-form charging

@@ -94,7 +94,8 @@ void DpuPool::reserve(std::uint32_t n_dpus) {
   // Allocate before touching any cache state: a failed (or fault-injected)
   // allocation must leave the pool exactly as it was — no half-built
   // entries, no phantom reset.
-  DpuSet fresh = DpuSet::allocate(static_cast<std::uint32_t>(target), cfg_);
+  DpuSet fresh =
+      DpuSet::allocate(static_cast<std::uint32_t>(target), cfg_, obs_bank_);
   if (set_.has_value()) {
     // Re-allocating discards every DPU's memory, so cached programs and
     // their residents are gone; keep the lifetime host accounting.

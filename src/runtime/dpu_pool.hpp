@@ -271,9 +271,10 @@ public:
   /// Recycled staging buffers shared by every session on this pool.
   StagingArena& arena() { return arena_; }
 
-  /// Pipeline bank this pool plays in obs telemetry (purely a label: the
-  /// double-buffered executors tag their two pools 0 and 1 so sessions can
-  /// stamp the bank id into their spans).
+  /// Pipeline bank this pool plays (0 or 1): the double-buffered executors
+  /// tag their two pools so sessions stamp the bank id into their spans,
+  /// and every set the pool allocates keys its fault draws by it, so the
+  /// two banks draw independent streams. Set it before the first reserve().
   void set_obs_bank(unsigned bank) { obs_bank_ = bank; }
   unsigned obs_bank() const { return obs_bank_; }
 

@@ -17,27 +17,8 @@ using pimdnn::UsageError;
 using sim::DpuFault;
 using sim::FaultKind;
 
-namespace {
-
-/// Routes the concurrent tasklet bodies of barrier launches onto the
-/// global HostPool's persistent lanes instead of the simulator's default
-/// thread-per-tasklet fallback. Installed once, the first time the runtime
-/// allocates a set (sim cannot depend on runtime, hence the hook).
-void install_barrier_runner() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    sim::set_concurrent_runner(
-        [](std::uint32_t n, const std::function<void(std::uint32_t)>& body) {
-          HostPool::global().run_exclusive(n, body);
-        });
-  });
-}
-
-} // namespace
-
-DpuSet::DpuSet(std::uint32_t n_dpus, const UpmemConfig& cfg)
-    : cfg_(cfg), sim_mode_(default_sim_mode()) {
-  install_barrier_runner();
+DpuSet::DpuSet(std::uint32_t n_dpus, const UpmemConfig& cfg, unsigned bank)
+    : cfg_(cfg), bank_(bank), sim_mode_(default_sim_mode()) {
   dpus_.reserve(n_dpus);
   for (std::uint32_t i = 0; i < n_dpus; ++i) {
     dpus_.emplace_back(cfg);
@@ -46,7 +27,8 @@ DpuSet::DpuSet(std::uint32_t n_dpus, const UpmemConfig& cfg)
   bad_.assign(n_dpus, 0);
 }
 
-DpuSet DpuSet::allocate(std::uint32_t n_dpus, const UpmemConfig& cfg) {
+DpuSet DpuSet::allocate(std::uint32_t n_dpus, const UpmemConfig& cfg,
+                        unsigned bank) {
   if (n_dpus == 0) {
     throw UsageError("cannot allocate an empty DpuSet");
   }
@@ -58,13 +40,13 @@ DpuSet DpuSet::allocate(std::uint32_t n_dpus, const UpmemConfig& cfg) {
   auto& plan = sim::fault_plan();
   if (plan.enabled()) {
     std::uint64_t salt = 0;
-    if (plan.draw(FaultKind::AllocFail, 0, salt)) {
+    if (plan.draw(FaultKind::AllocFail, bank, 0, salt)) {
       throw DpuFault(0, FaultKind::AllocFail,
                      "simulated allocation failure for a " +
                          std::to_string(n_dpus) + "-DPU set");
     }
   }
-  DpuSet set(n_dpus, cfg);
+  DpuSet set(n_dpus, cfg, bank);
   if (plan.enabled()) {
     auto& m = obs::Metrics::instance();
     for (std::uint32_t i = 0; i < n_dpus; ++i) {
@@ -122,8 +104,8 @@ bool DpuSet::probe(std::uint32_t phys) {
     // The canary launch is subject to the same fault draws a real launch
     // would be: a DPU that still fails or hangs fails its probe.
     std::uint64_t salt = 0;
-    if (plan.draw(FaultKind::LaunchFail, phys, salt)) return false;
-    if (plan.draw(FaultKind::LaunchHang, phys, salt)) return false;
+    if (plan.draw(FaultKind::LaunchFail, bank_, phys, salt)) return false;
+    if (plan.draw(FaultKind::LaunchHang, bank_, phys, salt)) return false;
   }
   // Memory canary: save, write a DPU-salted walking pattern, read it back,
   // restore. Raw MRAM access — the probe must not depend on whatever
@@ -168,7 +150,7 @@ void DpuSet::load(const DpuProgram& program) {
     // chance of one flipped bit somewhere in each DPU's occupied MRAM.
     for (std::uint32_t i = 0; i < dpus_.size(); ++i) {
       std::uint64_t salt = 0;
-      if (!plan.draw(FaultKind::MramCorrupt, i, salt)) continue;
+      if (!plan.draw(FaultKind::MramCorrupt, bank_, i, salt)) continue;
       const MemSize used = dpus_[i].mram_used();
       if (used == 0) continue;
       const MemSize byte = static_cast<MemSize>(salt % used);
@@ -197,7 +179,7 @@ void DpuSet::maybe_corrupt_write(std::uint32_t phys, const std::string& symbol,
   auto& plan = sim::fault_plan();
   if (!plan.enabled() || size == 0) return;
   std::uint64_t salt = 0;
-  if (!plan.draw(FaultKind::TransferCorrupt, phys, salt)) return;
+  if (!plan.draw(FaultKind::TransferCorrupt, bank_, phys, salt)) return;
   // One deterministic bit flip inside the bytes just written; repaired (or
   // not) by the runtime's read-back verification, never silently fatal to
   // the simulator itself.
@@ -305,19 +287,18 @@ LaunchStats DpuSet::launch(std::uint32_t n_tasklets, OptLevel opt,
         verdicts[i] = FaultKind::BadDpu;
         return;
       }
-      if (plan.draw(FaultKind::LaunchFail, phys, salt)) {
+      if (plan.draw(FaultKind::LaunchFail, bank_, phys, salt)) {
         faulted[i] = 1;
         verdicts[i] = FaultKind::LaunchFail;
         return;
       }
-      if (plan.draw(FaultKind::LaunchHang, phys, salt)) {
+      if (plan.draw(FaultKind::LaunchHang, bank_, phys, salt)) {
         faulted[i] = 1;
         verdicts[i] = FaultKind::LaunchHang;
         return;
       }
     }
-    out.per_dpu[i] = dpus_[phys].launch(
-        n_tasklets, opt, sim::TaskletSchedule::InOrder, sim_mode_);
+    out.per_dpu[i] = dpus_[phys].launch(n_tasklets, opt, sim_mode_);
   };
 
   // Persistent worker pool instead of a per-launch thread crop: the same

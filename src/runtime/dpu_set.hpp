@@ -110,9 +110,11 @@ struct LaunchStats {
 class DpuSet {
 public:
   /// Allocates `n_dpus` DPUs; throws CapacityError if the system does not
-  /// have that many (Table 2.1: 2,560).
+  /// have that many (Table 2.1: 2,560). `bank` (0 or 1) keys this set's
+  /// fault draws, so the two banks of a pipeline draw independent streams.
   static DpuSet allocate(std::uint32_t n_dpus,
-                         const UpmemConfig& cfg = sim::default_config());
+                         const UpmemConfig& cfg = sim::default_config(),
+                         unsigned bank = 0);
 
   /// Number of DPUs in the set.
   std::uint32_t size() const { return static_cast<std::uint32_t>(dpus_.size()); }
@@ -213,7 +215,7 @@ public:
   bool probe(std::uint32_t phys);
 
 private:
-  DpuSet(std::uint32_t n_dpus, const UpmemConfig& cfg);
+  DpuSet(std::uint32_t n_dpus, const UpmemConfig& cfg, unsigned bank);
   static void check_aligned(MemSize offset, MemSize size);
   std::uint32_t resolve_active(std::uint32_t n_active) const;
   /// Transfer-corruption hook: one deterministic bit flip inside the range
@@ -222,6 +224,7 @@ private:
                            MemSize symbol_offset, MemSize size);
 
   UpmemConfig cfg_;
+  unsigned bank_ = 0; ///< fault-draw bank (see allocate)
   std::vector<Dpu> dpus_;
   std::vector<void*> prepared_;
   std::vector<std::uint32_t> map_; ///< logical->physical (empty = identity)

@@ -46,19 +46,6 @@ HostPool::~HostPool() {
   for (std::thread& w : workers_) {
     w.join();
   }
-  // Lanes are only ever busy while a run_exclusive caller is blocked inside
-  // the pool, so at destruction time every lane is idle and joins promptly.
-  {
-    std::lock_guard<std::mutex> lk(lane_mu_);
-    for (auto& l : lanes_) {
-      std::lock_guard<std::mutex> llk(l->mu);
-      l->stop = true;
-      l->cv.notify_all();
-    }
-  }
-  for (auto& l : lanes_) {
-    l->th.join();
-  }
   // Zero-worker pools (and the window between notify and join) can leave
   // queued tasks behind: run them inline so a submit is never dropped.
   while (!queue_.empty()) {
@@ -146,95 +133,6 @@ void HostPool::help_until(const std::shared_ptr<Task>& t) {
     std::unique_lock<std::mutex> lk(t->mu);
     t->cv.wait(lk, [&] { return t->done; });
     return;
-  }
-}
-
-void HostPool::lane_loop(Lane& l) {
-  std::unique_lock<std::mutex> lk(l.mu);
-  for (;;) {
-    l.cv.wait(lk, [&] { return l.stop || l.busy; });
-    if (l.stop) {
-      return;
-    }
-    const std::function<void(std::uint32_t)>* body = l.body;
-    const std::uint32_t index = l.index;
-    lk.unlock();
-    std::exception_ptr err;
-    try {
-      (*body)(index);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    lk.lock();
-    l.error = err;
-    l.body = nullptr;
-    l.busy = false;
-    l.cv.notify_all();
-  }
-}
-
-void HostPool::run_exclusive(
-    std::uint32_t n, const std::function<void(std::uint32_t)>& body) {
-  if (n == 0) {
-    return;
-  }
-  // Acquire n-1 idle lanes as a group, growing the lane set on demand. New
-  // lane threads count into hostpool.threads_created — the same counter the
-  // frame-reuse bench watches — so warm launches are provably creation-free.
-  std::vector<Lane*> lanes;
-  lanes.reserve(n - 1);
-  std::uint32_t created = 0;
-  {
-    std::lock_guard<std::mutex> lk(lane_mu_);
-    for (std::uint32_t i = 1; i < n; ++i) {
-      if (!idle_lanes_.empty()) {
-        lanes.push_back(idle_lanes_.back());
-        idle_lanes_.pop_back();
-      } else {
-        lanes_.push_back(std::make_unique<Lane>());
-        Lane* l = lanes_.back().get();
-        l->th = std::thread([l] { lane_loop(*l); });
-        lanes.push_back(l);
-        ++created;
-      }
-    }
-  }
-  if (created > 0) {
-    obs::Metrics::instance().add("hostpool.threads_created", created);
-  }
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    Lane* l = lanes[i];
-    std::lock_guard<std::mutex> lk(l->mu);
-    l->body = &body;
-    l->index = static_cast<std::uint32_t>(i) + 1;
-    l->error = nullptr;
-    l->busy = true;
-    l->cv.notify_one();
-  }
-  // The caller is index 0; its exception wins the index-order tiebreak but
-  // must not propagate before every lane finished with `body`.
-  std::exception_ptr first;
-  try {
-    body(0);
-  } catch (...) {
-    first = std::current_exception();
-  }
-  for (Lane* l : lanes) {
-    std::unique_lock<std::mutex> lk(l->mu);
-    l->cv.wait(lk, [&] { return !l->busy; });
-    if (first == nullptr && l->error != nullptr) {
-      first = l->error;
-    }
-    l->error = nullptr;
-  }
-  {
-    std::lock_guard<std::mutex> lk(lane_mu_);
-    for (Lane* l : lanes) {
-      idle_lanes_.push_back(l);
-    }
-  }
-  if (first != nullptr) {
-    std::rethrow_exception(first);
   }
 }
 

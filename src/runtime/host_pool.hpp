@@ -8,7 +8,9 @@
 // of that with `hardware_threads() - 1` workers created once (counted in
 // the obs counter `hostpool.threads_created`, which the frame-reuse bench
 // asserts stays flat across warm launches) plus the submitting thread,
-// which always participates.
+// which always participates. These workers are all of the host
+// concurrency: the simulator owns no threads, and each DPU launch runs its
+// tasklets on the one thread that claimed it.
 //
 // Two primitives:
 //  * `submit` — run a closure asynchronously; the returned TaskHandle's
@@ -108,42 +110,13 @@ public:
   void parallel_for(std::uint32_t n,
                     const std::function<void(std::uint32_t)>& body);
 
-  /// Runs body(0..n-1) with every index on its own concurrently-running
-  /// thread — the primitive behind barrier-program launches, whose tasklet
-  /// bodies block on each other and therefore cannot share the helping task
-  /// queue (a tasklet helped onto another tasklet's stack would deadlock a
-  /// multi-phase barrier). Indices 1..n-1 run on persistent "lane" threads:
-  /// lanes are created on demand, counted in `hostpool.threads_created`,
-  /// and reused by later calls, so warm barrier launches create zero
-  /// threads. The calling thread runs index 0. The first exception in index
-  /// order is rethrown after every index finished. Lanes exist regardless
-  /// of the worker count: even a zero-worker pool must run barrier groups
-  /// concurrently.
-  void run_exclusive(std::uint32_t n,
-                     const std::function<void(std::uint32_t)>& body);
-
   /// Worker threads owned by the pool (0 on single-core hosts).
   std::uint32_t workers() const {
     return static_cast<std::uint32_t>(workers_.size());
   }
 
 private:
-  /// One persistent thread dedicated to exclusive (barrier) groups. A lane
-  /// is either idle (parked on its cv) or running one index of one
-  /// run_exclusive call; it never touches the shared task queue.
-  struct Lane {
-    std::mutex mu;
-    std::condition_variable cv;
-    const std::function<void(std::uint32_t)>* body = nullptr;
-    std::uint32_t index = 0;
-    bool busy = false;
-    bool stop = false;
-    std::exception_ptr error;
-    std::thread th;
-  };
-
   void worker_loop();
-  static void lane_loop(Lane& l);
   /// Runs `t`'s closure, captures its exception, marks it done.
   static void run_task(Task& t);
   /// Helps execute queued tasks until `t` is done.
@@ -154,10 +127,6 @@ private:
   std::deque<std::shared_ptr<Task>> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
-
-  std::mutex lane_mu_; ///< guards the two lane lists below
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<Lane*> idle_lanes_;
 };
 
 } // namespace pimdnn::runtime

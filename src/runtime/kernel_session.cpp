@@ -8,6 +8,7 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "sim/fault.hpp"
@@ -353,13 +354,8 @@ Cycles KernelSession::default_deadline_cycles() {
     if (env == nullptr || env[0] == '\0') {
       return static_cast<Cycles>(0);
     }
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 0);
-    if (end == nullptr || *end != '\0') {
-      throw ConfigError(std::string("PIMDNN_DEADLINE: bad cycle count '") +
-                        env + "'");
-    }
-    return static_cast<Cycles>(v);
+    return static_cast<Cycles>(
+        parse_u64(env, "PIMDNN_DEADLINE", "the cycle count"));
   }();
   return cached;
 }

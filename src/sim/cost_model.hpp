@@ -80,11 +80,12 @@ public:
   /// Slots for a call/return pair (argument marshalling included).
   unsigned call_overhead() const { return 5; }
 
-  /// Slots for one `barrier_wait()` statement: the SDK's barrier is an
+  /// Slots for one SDK barrier wait statement: the SDK's barrier is an
   /// acquire/release pair around a counter update plus the wait loop's
   /// fixed bookkeeping. Cycles spent *waiting* for other tasklets are not
   /// issue slots (a blocked tasklet issues nothing), so they are not
-  /// charged here; see Dpu::launch for how waits affect the cycle bounds.
+  /// charged here. Dpu::launch charges it to every tasklet at each phase
+  /// boundary.
   unsigned barrier_stmt() const { return 2 * alu_stmt() + 8; }
 
   /// True if a multiply of this width is lowered to a __mulsi3 call at this

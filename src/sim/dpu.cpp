@@ -1,11 +1,6 @@
 #include "sim/dpu.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "common/bytes.hpp"
 #include "obs/metrics.hpp"
@@ -13,88 +8,6 @@
 #include "sim/report.hpp"
 
 namespace pimdnn::sim {
-
-namespace {
-
-/// Fallback ConcurrentRunner: a fresh thread per tasklet. Correct anywhere
-/// (including the standalone simulator with no runtime layer loaded), just
-/// wasteful on warm frames — which is why runtime::DpuSet installs the
-/// HostPool lane runner on first use.
-void run_on_fresh_threads(std::uint32_t n,
-                          const std::function<void(std::uint32_t)>& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (std::uint32_t t = 0; t < n; ++t) {
-    threads.emplace_back([&body, t] { body(t); });
-  }
-  for (std::thread& th : threads) {
-    th.join();
-  }
-}
-
-std::mutex& runner_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-ConcurrentRunner& runner_slot() {
-  static ConcurrentRunner r;
-  return r;
-}
-
-ConcurrentRunner current_runner() {
-  std::lock_guard<std::mutex> lk(runner_mutex());
-  ConcurrentRunner r = runner_slot();
-  if (!r) {
-    r = run_on_fresh_threads;
-  }
-  return r;
-}
-
-} // namespace
-
-void set_concurrent_runner(ConcurrentRunner runner) {
-  std::lock_guard<std::mutex> lk(runner_mutex());
-  runner_slot() = std::move(runner);
-}
-
-/// Generation-counting barrier (usable across multiple kernel phases).
-/// std::barrier would do, but a hand-rolled condition-variable barrier keeps
-/// the toolchain floor at the repo's C++20-minus-<barrier> baseline.
-class Dpu::LaunchBarrier {
-public:
-  explicit LaunchBarrier(std::uint32_t parties) : parties_(parties) {}
-
-  void arrive_and_wait() {
-    std::unique_lock<std::mutex> lk(mtx_);
-    const std::uint64_t gen = generation_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return;
-    }
-    cv_.wait(lk, [&] { return generation_ != gen; });
-  }
-
-  /// Permanently removes one party (a tasklet that died in the kernel);
-  /// completes the current generation if it was the last one outstanding.
-  void arrive_and_drop() {
-    std::lock_guard<std::mutex> lk(mtx_);
-    if (--parties_ > 0 && arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-    }
-  }
-
-private:
-  std::mutex mtx_;
-  std::condition_variable cv_;
-  std::uint32_t parties_;
-  std::uint32_t arrived_ = 0;
-  std::uint64_t generation_ = 0;
-};
 
 Dpu::Dpu(const UpmemConfig& cfg)
     : cfg_(cfg),
@@ -105,6 +18,8 @@ Dpu::Dpu(const UpmemConfig& cfg)
 void Dpu::load(const DpuProgram& program) {
   require(static_cast<bool>(program.entry),
           "DpuProgram '" + program.name + "' has no entry point");
+  require(program.phases >= 1,
+          "DpuProgram '" + program.name + "' declares zero phases");
 
   // Validate everything before mutating anything: a failed load (symbol
   // placement or IRAM overflow) must leave the previous program — IRAM,
@@ -180,21 +95,8 @@ void Dpu::host_read(const std::string& name, MemSize offset, void* dst,
   }
 }
 
-void Dpu::tasklet_barrier_wait() {
-  if (barrier_ != nullptr) {
-    barrier_->arrive_and_wait();
-    return;
-  }
-  if (!program_.uses_barrier) {
-    throw UsageError("kernel called barrier_wait() but DpuProgram '" +
-                     program_.name + "' does not declare uses_barrier");
-  }
-  // Single-tasklet launch of a barrier program: a barrier of one tasklet
-  // never waits.
-}
-
 DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
-                        TaskletSchedule schedule, SimMode mode) {
+                        SimMode mode) {
   require(static_cast<bool>(program_.entry),
           "launch without a loaded program");
   require(n_tasklets >= 1 && n_tasklets <= cfg_.max_tasklets,
@@ -210,60 +112,34 @@ DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
   const CostModel cost(opt);
   DpuRunStats out;
   out.tasklets.resize(n_tasklets);
-
-  if (program_.uses_barrier && n_tasklets > 1) {
-    // Barrier programs run every tasklet on a concurrent host thread so
-    // barrier_wait() provides real happens-before ordering and the kernel's
-    // correctness cannot lean on any particular tasklet schedule. Each
-    // tasklet charges into its own stats/profile; charges are
-    // interleaving-independent, so cycle accounting stays deterministic.
-    // The threads come from the installed ConcurrentRunner (persistent
-    // HostPool lanes under the runtime; fresh std::threads standalone).
-    LaunchBarrier barrier(n_tasklets);
-    barrier_ = &barrier;
-    std::vector<SubroutineProfile> profiles(n_tasklets);
-    std::vector<std::exception_ptr> errors(n_tasklets);
-    const auto tasklet_body = [&](std::uint32_t t) {
-      try {
-        if (schedule == TaskletSchedule::StaggeredReverse) {
-          // Adversarial start order: tasklet 0 enters the kernel last, so
-          // any kernel relying on "tasklet 0 runs first" breaks here.
-          std::this_thread::sleep_for(std::chrono::microseconds(200) *
-                                      (n_tasklets - 1 - t));
-        }
-        TaskletCtx ctx(*this, t, n_tasklets, cost, out.tasklets[t],
-                       profiles[t]);
-        program_.entry(ctx);
-      } catch (...) {
-        errors[t] = std::current_exception();
-        // Keep peers from deadlocking on a barrier this tasklet will
-        // never reach; the launch rethrows the error after the run.
-        barrier.arrive_and_drop();
+  out.fast_path =
+      mode == SimMode::Fast && static_cast<bool>(program_.fast_entry);
+  const std::function<void(TaskletCtx&)>& body =
+      out.fast_path ? program_.fast_entry : program_.entry;
+  std::vector<TaskletCtx> ctxs;
+  ctxs.reserve(n_tasklets);
+  for (TaskletId t = 0; t < n_tasklets; ++t) {
+    ctxs.emplace_back(*this, t, n_tasklets, cost, out.tasklets[t],
+                      out.profile);
+  }
+  for (std::uint32_t p = 0; p < program_.phases; ++p) {
+    if (p > 0) {
+      // The barrier between phases p-1 and p: every tasklet pays one
+      // barrier wait statement.
+      for (TaskletStats& ts : out.tasklets) {
+        ts.slots += cost.barrier_stmt();
       }
-    };
-    current_runner()(n_tasklets, tasklet_body);
-    barrier_ = nullptr;
-    for (const auto& e : errors) {
-      if (e) std::rethrow_exception(e);
     }
-    for (const auto& p : profiles) {
-      out.profile.merge(p);
-    }
-  } else {
-    const bool fast =
-        mode == SimMode::Fast && static_cast<bool>(program_.fast_entry) &&
-        !program_.uses_barrier;
-    const std::function<void(TaskletCtx&)>& body =
-        fast ? program_.fast_entry : program_.entry;
-    for (TaskletId t = 0; t < n_tasklets; ++t) {
-      TaskletCtx ctx(*this, t, n_tasklets, cost, out.tasklets[t],
-                     out.profile);
+    // Interp runs the highest tasklet id first, fast runs tasklet 0 first
+    // (see common/sim_mode.hpp).
+    for (std::uint32_t i = 0; i < n_tasklets; ++i) {
+      TaskletCtx& ctx = ctxs[mode == SimMode::Fast ? i : n_tasklets - 1 - i];
+      ctx.phase_ = p;
       body(ctx);
     }
-    out.fast_path = fast;
-    if (fast) {
-      obs::Metrics::instance().add("sim.fast_launches");
-    }
+  }
+  if (out.fast_path) {
+    obs::Metrics::instance().add("sim.fast_launches");
   }
 
   Cycles latency_bound = 0;

@@ -2,10 +2,12 @@
 //
 // Programs are declared as a set of named MRAM/WRAM symbols plus an entry
 // point invoked once per tasklet (the SPMD model of the real SDK, §3.1).
-// `launch` runs all tasklets functionally and then derives the cycle count
-// from three hardware bounds of the 11-stage fine-grained-multithreaded
-// pipeline (see `DpuRunStats::cycles` docs), which reproduces the tasklet
-// saturation behaviour of Figure 4.7(a).
+// A kernel that synchronizes on the SDK barrier is split into barrier
+// phases: `launch` runs phase p of every tasklet before phase p+1, all on
+// the calling thread, so the simulator owns no threads or locks. It then
+// derives the cycle count from three hardware bounds of the
+// fine-grained-multithreaded pipeline (see `DpuRunStats::cycles` docs),
+// which reproduces the tasklet saturation behaviour of Figure 4.7(a).
 #pragma once
 
 #include <functional>
@@ -35,28 +37,20 @@ struct DpuProgram {
   std::string name;                     ///< program name (diagnostics)
   std::vector<SymbolDecl> symbols;      ///< buffers to place in memory
   MemSize iram_bytes = 4096;            ///< code footprint checked vs 24 KB
-  std::function<void(TaskletCtx&)> entry; ///< run once per tasklet
+  std::function<void(TaskletCtx&)> entry; ///< run once per tasklet per phase
   /// Optional batched twin of `entry` used when a launch runs in
   /// SimMode::Fast: it must produce the identical memory effects
   /// (bit-exact, soft-float results included) and apply the identical
   /// charges (cycle-exact stats and subroutine profile), computing with
   /// native host arithmetic and bulk `charge_*` calls instead of per-op
   /// interpretation. Programs without one always interpret; the dual-run
-  /// cross-check tests enforce the equivalence contract.
+  /// cross-check tests enforce the equivalence contract. Like `entry`, it
+  /// runs once per tasklet per phase.
   std::function<void(TaskletCtx&)> fast_entry;
-  /// True if `entry` synchronizes through TaskletCtx::barrier_wait().
-  /// Barrier programs execute their tasklets on concurrent host threads so
-  /// the barrier provides real happens-before ordering (any scheduling
-  /// order is correct); non-barrier programs run tasklets sequentially.
-  bool uses_barrier = false;
-};
-
-/// How a launch orders tasklet start-up. Only observable for barrier
-/// programs (which run threaded); used by tests to prove kernels do not
-/// depend on the historical tasklet-0-first sequential schedule.
-enum class TaskletSchedule : std::uint8_t {
-  InOrder,          ///< start tasklets in id order (hardware-like)
-  StaggeredReverse, ///< delay low ids so high ids reach the kernel first
+  /// Barrier phases (>= 1): a kernel with B barriers declares B + 1 and
+  /// branches on TaskletCtx::phase(). Each phase boundary charges every
+  /// tasklet CostModel::barrier_stmt(), the cost of one SDK barrier wait.
+  std::uint32_t phases = 1;
 };
 
 /// Placed symbol: where a declaration landed.
@@ -68,10 +62,11 @@ struct SymbolInfo {
 
 /// Result of one kernel launch on one DPU.
 struct DpuRunStats {
-  /// Modeled execution cycles:
-  ///   max( Σ_t slots_t,                 -- pipeline issues 1 instr/cycle
-  ///        Σ_t dma_t,                   -- single shared DMA engine
-  ///        max_t (11·slots_t + dma_t) ) -- per-tasklet in-order latency
+  /// Modeled execution cycles, with S = UpmemConfig::pipeline_stages
+  /// (11 by default):
+  ///   max( Σ_t slots_t,                -- pipeline issues 1 instr/cycle
+  ///        Σ_t dma_t,                  -- single shared DMA engine
+  ///        max_t (S·slots_t + dma_t) ) -- per-tasklet in-order latency
   Cycles cycles = 0;
   /// Sum of issue slots over all tasklets.
   std::uint64_t total_slots = 0;
@@ -89,20 +84,6 @@ struct DpuRunStats {
   bool fast_path = false;
 };
 
-/// Hook that runs the `n` concurrently-blocking tasklet bodies of a
-/// barrier-program launch, each on its own thread (body `t` may block on a
-/// barrier until every other body arrives, so the indices must make
-/// progress concurrently — a shared work queue is not a valid
-/// implementation). Installed by higher layers (runtime::HostPool routes it
-/// onto persistent lane threads so warm launches create zero threads); the
-/// default spawns one std::thread per tasklet, keeping the standalone
-/// simulator dependency-free.
-using ConcurrentRunner =
-    std::function<void(std::uint32_t, const std::function<void(std::uint32_t)>&)>;
-
-/// Replaces the barrier-launch runner (empty restores the default).
-void set_concurrent_runner(ConcurrentRunner runner);
-
 /// One simulated DPU.
 class Dpu {
 public:
@@ -111,7 +92,8 @@ public:
 
   /// Loads a program: places symbols (8-byte aligned) in MRAM/WRAM with
   /// bump allocation and checks IRAM capacity. Replaces any prior program;
-  /// memory contents are preserved (as on hardware).
+  /// memory contents are preserved (as on hardware). Throws UsageError for
+  /// a program without an entry or with zero phases.
   void load(const DpuProgram& program);
 
   /// Looks up a placed symbol; throws SymbolError if absent.
@@ -129,13 +111,12 @@ public:
                  MemSize size) const;
 
   /// Runs the loaded program on `n_tasklets` tasklets under the given
-  /// optimization level and returns the cycle accounting. `schedule`
-  /// selects the tasklet start order for barrier programs. `mode` selects
-  /// the executor for non-barrier programs that provide a `fast_entry`;
-  /// everything else interprets regardless.
+  /// optimization level and returns the cycle accounting. Every phase runs
+  /// for all tasklets before the next, on the calling thread. `mode`
+  /// selects the executor (`fast_entry` when the program has one) and the
+  /// tasklet order inside a phase (see common/sim_mode.hpp).
   DpuRunStats launch(std::uint32_t n_tasklets,
                      OptLevel opt = OptLevel::O3,
-                     TaskletSchedule schedule = TaskletSchedule::InOrder,
                      SimMode mode = default_sim_mode());
 
   /// Architecture configuration.
@@ -152,14 +133,6 @@ public:
 private:
   friend class TaskletCtx;
 
-  /// Called by TaskletCtx::barrier_wait(): blocks until every tasklet of
-  /// the current launch has arrived (real synchronization on the threaded
-  /// path; a no-op for single-tasklet launches). Throws UsageError when the
-  /// loaded program did not declare `uses_barrier`.
-  void tasklet_barrier_wait();
-
-  class LaunchBarrier; ///< condition-variable barrier (defined in dpu.cpp)
-
   UpmemConfig cfg_;
   Mram mram_;
   Wram wram_;
@@ -168,7 +141,6 @@ private:
   std::map<std::string, SymbolInfo> symbols_;
   MemSize mram_top_ = 0;
   MemSize wram_top_ = 0;
-  LaunchBarrier* barrier_ = nullptr; ///< non-null only during threaded launch
 };
 
 } // namespace pimdnn::sim

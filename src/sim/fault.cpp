@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/parse.hpp"
 #include "obs/metrics.hpp"
 
 namespace pimdnn::sim {
@@ -12,6 +13,9 @@ namespace {
 /// DPU indices with distinct draw ordinals; higher indices share slots
 /// (irrelevant in practice: the largest system has 2,560 DPUs).
 constexpr std::uint32_t kTrackedDpus = 4096;
+
+/// Pipeline banks with distinct draw ordinals (the executors run two).
+constexpr unsigned kBanks = 2;
 
 /// SplitMix64 finalizer: a well-mixed 64-bit hash of its input.
 std::uint64_t mix64(std::uint64_t x) {
@@ -39,17 +43,12 @@ double parse_rate(const std::string& key, const std::string& value) {
   return r;
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
+std::uint64_t parse_number(const std::string& key,
+                           const std::string& value) {
   if (value.empty()) {
     throw ConfigError("PIMDNN_FAULTS: empty value for " + key);
   }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') {
-    throw ConfigError("PIMDNN_FAULTS: bad number '" + value + "' for " +
-                      key);
-  }
-  return v;
+  return parse_u64(value, "PIMDNN_FAULTS", key);
 }
 
 void append_kv(std::string& out, const char* key, const std::string& value) {
@@ -131,11 +130,11 @@ FaultConfig parse_fault_config(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "seed") {
-      cfg.seed = parse_u64(key, value);
+      cfg.seed = parse_number(key, value);
     } else if (key == "bad") {
       cfg.bad_dpu_rate = parse_rate(key, value);
     } else if (key == "bad_mask") {
-      cfg.bad_dpu_mask = parse_u64(key, value);
+      cfg.bad_dpu_mask = parse_number(key, value);
     } else if (key == "alloc") {
       cfg.alloc_fail_rate = parse_rate(key, value);
     } else if (key == "launch") {
@@ -143,7 +142,7 @@ FaultConfig parse_fault_config(const std::string& spec) {
     } else if (key == "hang") {
       cfg.launch_hang_rate = parse_rate(key, value);
     } else if (key == "hang_cycles") {
-      cfg.hang_deadline_cycles = parse_u64(key, value);
+      cfg.hang_deadline_cycles = parse_number(key, value);
     } else if (key == "xfer") {
       cfg.transfer_corrupt_rate = parse_rate(key, value);
     } else if (key == "mram") {
@@ -156,7 +155,8 @@ FaultConfig parse_fault_config(const std::string& spec) {
 }
 
 FaultPlan::FaultPlan()
-    : ordinals_(static_cast<std::size_t>(kTrackedDpus) * kFaultKinds) {}
+    : ordinals_(static_cast<std::size_t>(kBanks) * kTrackedDpus *
+                kFaultKinds) {}
 
 void FaultPlan::configure(const FaultConfig& cfg) {
   cfg_ = cfg;
@@ -189,20 +189,24 @@ bool FaultPlan::bad_dpu(std::uint32_t dpu_index) const {
   return to_unit(h) < cfg_.bad_dpu_rate;
 }
 
-bool FaultPlan::draw(FaultKind kind, std::uint32_t dpu_index,
+bool FaultPlan::draw(FaultKind kind, unsigned bank, std::uint32_t dpu_index,
                      std::uint64_t& salt) {
   salt = 0;
   if (!enabled_) return false;
   const double rate = rate_for(kind);
   if (rate <= 0.0) return false;
   const std::size_t slot =
-      static_cast<std::size_t>(dpu_index % kTrackedDpus) * kFaultKinds +
+      (static_cast<std::size_t>(bank % kBanks) * kTrackedDpus +
+       dpu_index % kTrackedDpus) *
+          kFaultKinds +
       static_cast<std::size_t>(kind);
   const std::uint64_t ordinal =
       ordinals_[slot].fetch_add(1, std::memory_order_relaxed);
+  // Bank bits sit above the kind bits, so bank 0 hashes as before banks.
   const std::uint64_t h =
       mix64(cfg_.seed ^
-            mix64((static_cast<std::uint64_t>(kind) << 56) ^
+            mix64((static_cast<std::uint64_t>(bank) << 60) ^
+                  (static_cast<std::uint64_t>(kind) << 56) ^
                   (static_cast<std::uint64_t>(dpu_index) << 24) ^ ordinal));
   if (to_unit(h) >= rate) return false;
   salt = mix64(h ^ 0x5a17ull);

@@ -11,10 +11,12 @@
 // The plan is configured once per process from the PIMDNN_FAULTS
 // environment variable (or programmatically via set_fault_config) and is
 // *deterministic*: every fault decision is a pure hash of
-// (seed, fault kind, DPU index, per-(DPU, kind) draw ordinal), so a fixed
-// seed reproduces the exact same fault sequence regardless of how the
-// launch loop's worker threads interleave — each DPU's draws advance its
-// own atomic ordinal.
+// (seed, fault kind, bank, DPU index, per-(bank, DPU, kind) draw ordinal),
+// so a fixed seed reproduces the exact same fault sequence regardless of
+// how the launch loop's worker threads interleave — each DPU's draws
+// advance its own atomic ordinal. The two banks of a pipeline number their
+// DPUs from 0 and launch concurrently, so each bank keeps its own ordinals;
+// bank 0 hashes exactly as a plan without banks would.
 //
 // PIMDNN_FAULTS grammar (comma-separated key=value; unknown keys throw
 // ConfigError):
@@ -97,9 +99,9 @@ struct FaultConfig {
 FaultConfig parse_fault_config(const std::string& spec);
 
 /// Process-wide deterministic fault source. All decisions are stateless
-/// hashes except for the per-(DPU, kind) draw ordinals, which make
+/// hashes except for the per-(bank, DPU, kind) draw ordinals, which make
 /// successive draws on one DPU distinct while staying independent of
-/// cross-DPU thread interleaving.
+/// cross-DPU and cross-bank thread interleaving.
 class FaultPlan {
 public:
   /// False when every rate/mask is zero: every hook is then a single
@@ -113,11 +115,13 @@ public:
   /// stateless per-index hash against bad_dpu_rate). Stable per process.
   bool bad_dpu(std::uint32_t dpu_index) const;
 
-  /// Draws one fault decision for `kind` on `dpu_index`, advancing that
-  /// (DPU, kind) ordinal. On a hit returns true and sets `salt` to a
-  /// deterministic value the caller uses to pick the corrupted byte/bit;
-  /// also bumps the obs `faults.injected` counters.
-  bool draw(FaultKind kind, std::uint32_t dpu_index, std::uint64_t& salt);
+  /// Draws one fault decision for `kind` on DPU `dpu_index` of pipeline
+  /// bank `bank` (0 or 1), advancing that (bank, DPU, kind) ordinal. On a
+  /// hit returns true and sets `salt` to a deterministic value the caller
+  /// uses to pick the corrupted byte/bit; also bumps the obs
+  /// `faults.injected` counters.
+  bool draw(FaultKind kind, unsigned bank, std::uint32_t dpu_index,
+            std::uint64_t& salt);
 
   /// Replaces the configuration and resets every draw ordinal (tests,
   /// benches). Prefer sim::set_fault_config().
@@ -134,7 +138,9 @@ private:
 
   FaultConfig cfg_;
   bool enabled_ = false;
-  /// Draw ordinals, indexed (dpu % kTrackedDpus) * kFaultKinds + kind.
+  /// Draw ordinals, indexed
+  /// ((bank % kBanks) * kTrackedDpus + dpu % kTrackedDpus) * kFaultKinds
+  /// + kind.
   std::vector<std::atomic<std::uint64_t>> ordinals_;
 };
 

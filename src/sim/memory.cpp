@@ -56,7 +56,6 @@ void Mram::check(MemSize offset, MemSize size) const {
 }
 
 std::uint8_t* Mram::chunk_for_write(MemSize index) {
-  std::lock_guard<std::mutex> lk(*chunk_mtx_);
   auto& c = chunks_[index];
   if (!c) {
     c = std::make_unique<std::uint8_t[]>(kChunk);
@@ -72,14 +71,7 @@ void Mram::read(void* dst, MemSize offset, MemSize size) const {
     const MemSize ci = offset / kChunk;
     const MemSize co = offset % kChunk;
     const MemSize n = std::min<MemSize>(size, kChunk - co);
-    const std::uint8_t* chunk = nullptr;
-    {
-      // The pointer fetch synchronizes with concurrent materialization by
-      // other tasklet threads; the copy itself needs no lock (races on the
-      // *contents* are kernel bugs a barrier must prevent).
-      std::lock_guard<std::mutex> lk(*chunk_mtx_);
-      chunk = chunks_[ci].get();
-    }
+    const std::uint8_t* chunk = chunks_[ci].get();
     if (chunk != nullptr) {
       std::memcpy(out, chunk + co, n);
     } else {

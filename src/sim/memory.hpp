@@ -5,13 +5,14 @@
 // Figure 2.1, Table 2.1). MRAM is backed by sparse 64 KB chunks so that
 // simulating thousands of DPUs does not reserve terabytes of host memory.
 // All accesses are bounds-checked; violations throw OutOfBoundsError, the
-// simulator's analogue of the memory faults one debugs on real DPUs.
+// simulator's analogue of the memory faults one debugs on real DPUs. The
+// memories take no locks: one thread at a time touches a DPU (Dpu::launch
+// runs every tasklet on the thread that launched it).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -81,12 +82,7 @@ private:
   std::uint8_t* chunk_for_write(MemSize index);
 
   MemSize capacity_;
-  mutable std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
-  /// Guards lazy chunk materialization: barrier programs run tasklets on
-  /// concurrent threads, and two tasklets writing disjoint regions of the
-  /// same still-unmaterialized 64 KB chunk must not both allocate it.
-  /// Held only while installing a chunk pointer, never during the memcpy.
-  std::unique_ptr<std::mutex> chunk_mtx_ = std::make_unique<std::mutex>();
+  std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
 };
 
 /// IRAM model: tracks the instruction footprint of the loaded program. The

@@ -211,11 +211,6 @@ void TaskletCtx::charge_subroutine(Subroutine s, std::uint64_t n) {
   profile_.record(s, n);
 }
 
-void TaskletCtx::barrier_wait() {
-  stats_.slots += cost_.barrier_stmt();
-  dpu_.tasklet_barrier_wait();
-}
-
 void TaskletCtx::perfcounter_config() { perf_base_ = elapsed(); }
 
 Cycles TaskletCtx::perfcounter_get() const { return elapsed() - perf_base_; }

@@ -49,6 +49,10 @@ public:
   /// Number of tasklets running this kernel.
   std::uint32_t n_tasklets() const { return n_tasklets_; }
 
+  /// The barrier phase being run, in [0, DpuProgram::phases). Every
+  /// tasklet finishes phase p before any tasklet starts phase p + 1.
+  std::uint32_t phase() const { return phase_; }
+
   /// The active cost model (reflects the compile-time -O level).
   const CostModel& cost() const { return cost_; }
 
@@ -163,15 +167,6 @@ public:
   /// Charges `n` executions of subroutine `s` (cycles + #occ profile).
   void charge_subroutine(Subroutine s, std::uint64_t n);
 
-  // ---- synchronization -----------------------------------------------------
-
-  /// The SDK's `barrier_wait(&my_barrier)`: blocks until every tasklet of
-  /// the launch has arrived. Charges CostModel::barrier_stmt() issue slots.
-  /// Requires the program to declare `DpuProgram::uses_barrier` (barrier
-  /// programs run their tasklets on concurrent threads, so the barrier is a
-  /// real happens-before edge, not a simulation convention).
-  void barrier_wait();
-
   // ---- perfcounter ---------------------------------------------------------
 
   /// Resets the cycle counter (thesis Figure 3.1: perfcounter_config()).
@@ -186,12 +181,15 @@ public:
   const TaskletStats& stats() const { return stats_; }
 
 private:
+  friend class Dpu; ///< Dpu::launch advances phase_
+
   void wram_raw(const std::string& symbol, void*& p, MemSize& bytes) const;
   Cycles elapsed() const;
 
   Dpu& dpu_;
   TaskletId id_;
   std::uint32_t n_tasklets_;
+  std::uint32_t phase_ = 0;
   const CostModel& cost_;
   TaskletStats& stats_;
   SubroutineProfile& profile_;

@@ -41,16 +41,12 @@ MemSize c_stride_bytes(int n) {
 
 void gemm_tasklet(TaskletCtx& ctx) {
   auto meta = ctx.wram_span<std::uint64_t>("meta");
-  ctx.charge_alu(5);
   const int n = static_cast<int>(meta[0]);
   const int k = static_cast<int>(meta[1]);
   const auto alpha =
       static_cast<std::int32_t>(static_cast<std::int64_t>(meta[2]));
   const auto variant = static_cast<GemmVariant>(meta[3]);
   const int rows = static_cast<int>(meta[4]);
-
-  require(ctx.n_tasklets() <= map::kMaxGemmTasklets,
-          "GEMM program supports at most 16 tasklets");
 
   auto a_wram = ctx.wram_span<std::int16_t>("a_wram");
   auto bchunk_all = ctx.wram_span<std::int16_t>("bchunk");
@@ -68,11 +64,16 @@ void gemm_tasklet(TaskletCtx& ctx) {
   std::int32_t* ctmp = ctmp_all.data() + ctx.id() * kGemmStrip;
   std::int16_t* cout = cout_all.data() + ctx.id() * kGemmStrip;
 
-  // Stage every assigned A row into WRAM once (tasklet 0), then rendezvous
-  // on a barrier: without it, a tasklet scheduled ahead of tasklet 0 would
-  // read unstaged rows (the hazard only the historical tasklet-0-first
-  // sequential schedule hid).
-  if (variant == GemmVariant::WramTiled) {
+  if (ctx.phase() == 0) {
+    ctx.charge_alu(5); // meta loads
+    require(ctx.n_tasklets() <= map::kMaxGemmTasklets,
+            "GEMM program supports at most 16 tasklets");
+  }
+
+  // WramTiled phase 0: tasklet 0 stages every assigned A row into WRAM
+  // once. The barrier before phase 1 keeps every tasklet from reading
+  // unstaged rows.
+  if (variant == GemmVariant::WramTiled && ctx.phase() == 0) {
     if (ctx.id() == 0) {
       for (int r = 0; r < rows; ++r) {
         MemSize off = 0;
@@ -87,7 +88,7 @@ void gemm_tasklet(TaskletCtx& ctx) {
         }
       }
     }
-    ctx.barrier_wait();
+    return;
   }
 
   const int n_strips = (n + kGemmStrip - 1) / kGemmStrip;
@@ -181,8 +182,8 @@ sim::DpuProgram make_gemm_program(int n, int k, GemmVariant variant,
   sim::DpuProgram prog;
   prog.name = "yolo_gemm";
   prog.iram_bytes = 4096;
-  // WramTiled synchronizes the staged A rows behind a barrier.
-  prog.uses_barrier = variant == GemmVariant::WramTiled;
+  // WramTiled stages the A rows in phase 0 and computes after the barrier.
+  prog.phases = variant == GemmVariant::WramTiled ? 2 : 1;
   prog.symbols = {
       {"meta", MemKind::Wram, sizeof(Meta)},
       {"a_wram", MemKind::Wram, a_bytes},

@@ -2,11 +2,11 @@
 // fast/interp equivalence contract (bit-exact memory, cycle-exact stats,
 // identical subroutine profiles) on the eBNN kernels, end-to-end parity
 // through EbnnHost / DeepEbnnHost including fixed-seed fault injection and
-// the double-buffered pipeline, plus regression tests for the three
-// interpreter fixes: per-launch thread crops in the barrier path (warm
-// launches must create zero threads), integer-wrap bounds bypass in
-// host_write/host_read, and non-atomic Dpu::load (a failed load must leave
-// the prior program launchable).
+// the double-buffered pipeline, the barrier-phase rules (phased programs
+// take their twin, tasklet order follows the mode, no launch creates a
+// thread), plus regression tests for two interpreter fixes: integer-wrap
+// bounds bypass in host_write/host_read, and non-atomic Dpu::load (a failed
+// load must leave the prior program launchable).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
+#include "runtime/host_pool.hpp"
 #include "runtime/kernel_session.hpp"
 #include "sim/dpu.hpp"
 #include "sim/fault.hpp"
@@ -85,27 +86,66 @@ sim::DpuProgram probe_program(const std::string& name = "probe") {
   return p;
 }
 
-/// Barrier program: each tasklet publishes id+1 into shared WRAM, waits,
-/// then writes its neighbour's value to MRAM — only correct when the
-/// barrier is a real happens-before edge across concurrent tasklets.
+/// Two-phase program: in phase 0 each tasklet publishes id+1 into shared
+/// WRAM; in phase 1 it writes its neighbour's value to MRAM — correct only
+/// because every tasklet finishes phase 0 before any starts phase 1. The
+/// fast twin is the same body.
 sim::DpuProgram barrier_program() {
   sim::DpuProgram p;
   p.name = "barrier_probe";
   p.symbols = {{"out", MemKind::Mram, 256},
                {"slots", MemKind::Wram, 128},
                {"stage", MemKind::Wram, 256}};
-  p.uses_barrier = true;
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = 2;
+  const auto body = [](TaskletCtx& ctx) {
     auto slots = ctx.wram_span<std::uint32_t>("slots");
-    slots[ctx.id()] = ctx.id() + 1;
     ctx.charge_alu(1);
-    ctx.barrier_wait();
+    if (ctx.phase() == 0) {
+      slots[ctx.id()] = ctx.id() + 1;
+      return;
+    }
     auto stage = ctx.wram_span<std::uint64_t>("stage");
     stage[ctx.id()] = slots[(ctx.id() + 1) % ctx.n_tasklets()];
-    ctx.charge_alu(1);
     ctx.mram_write(ctx.mram_addr("out") + ctx.id() * 8, &stage[ctx.id()], 8);
   };
+  p.entry = body;
+  p.fast_entry = body;
   return p;
+}
+
+/// Expects every tasklet of barrier_program() to have stored its
+/// neighbour's id+1.
+void expect_barrier_result(const Dpu& dpu, std::uint32_t n_tasklets) {
+  for (std::uint32_t t = 0; t < n_tasklets; ++t) {
+    std::uint64_t v = 0;
+    dpu.host_read("out", t * 8, &v, 8);
+    EXPECT_EQ(v, (t + 1) % n_tasklets + 1) << "tasklet " << t;
+  }
+}
+
+/// The dual-run contract: every modeled stat and the subroutine profile
+/// match field by field.
+void expect_stats_equal(const DpuRunStats& a, const DpuRunStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.total_slots, b.total_slots);
+  EXPECT_EQ(a.total_dma_cycles, b.total_dma_cycles);
+  EXPECT_EQ(a.total_dma_bytes, b.total_dma_bytes);
+  ASSERT_EQ(a.tasklets.size(), b.tasklets.size());
+  for (std::size_t t = 0; t < a.tasklets.size(); ++t) {
+    EXPECT_EQ(a.tasklets[t].slots, b.tasklets[t].slots) << "tasklet " << t;
+    EXPECT_EQ(a.tasklets[t].dma_cycles, b.tasklets[t].dma_cycles)
+        << "tasklet " << t;
+    EXPECT_EQ(a.tasklets[t].dma_transfers, b.tasklets[t].dma_transfers)
+        << "tasklet " << t;
+    EXPECT_EQ(a.tasklets[t].dma_bytes, b.tasklets[t].dma_bytes)
+        << "tasklet " << t;
+  }
+  for (std::size_t s = 0; s < static_cast<std::size_t>(Subroutine::kCount);
+       ++s) {
+    const auto sub = static_cast<Subroutine>(s);
+    EXPECT_EQ(a.profile.occurrences(sub), b.profile.occurrences(sub))
+        << sim::subroutine_name(sub);
+  }
 }
 
 // ---- SimMode parsing ------------------------------------------------------
@@ -209,49 +249,53 @@ TEST_F(FastModeTest, FailedLoadLeavesPriorProgramLaunchable) {
   check_intact();
 }
 
-// ---- regression: barrier launches must not crop threads per launch -------
+// ---- barrier phases ------------------------------------------------------
 
-TEST_F(FastModeTest, WarmBarrierLaunchesCreateZeroThreads) {
-  constexpr std::uint32_t kTasklets = 8;
+TEST_F(FastModeTest, FirstPhasedLaunchCreatesZeroThreads) {
+  // Every DPU launch runs its tasklets on the thread that claimed it, so
+  // once the HostPool's workers exist even the first 16-tasklet launch of
+  // a phased program creates no thread.
+  constexpr std::uint32_t kTasklets = 16;
+  runtime::HostPool::global();
   DpuSet set = DpuSet::allocate(1);
   set.load(barrier_program());
-
-  const auto check_result = [&] {
-    for (std::uint32_t t = 0; t < kTasklets; ++t) {
-      std::uint64_t v = 0;
-      set.dpu(0).host_read("out", t * 8, &v, 8);
-      EXPECT_EQ(v, (t + 1) % kTasklets + 1) << "tasklet " << t;
-    }
-  };
-
-  // Warm-up: the HostPool grows its persistent lane set on first demand.
-  set.launch(kTasklets);
-  set.launch(kTasklets);
-  check_result();
-
   const std::uint64_t before =
       obs::Metrics::instance().counter("hostpool.threads_created");
-  for (int i = 0; i < 4; ++i) {
-    set.launch(kTasklets);
-  }
-  check_result();
+  set.launch(kTasklets);
   EXPECT_EQ(obs::Metrics::instance().counter("hostpool.threads_created"),
-            before)
-      << "warm barrier launches must reuse the persistent lanes";
+            before);
+  expect_barrier_result(set.dpu(0), kTasklets);
 }
 
-TEST_F(FastModeTest, BarrierScheduleVariantsStayCorrect) {
-  DpuSet set = DpuSet::allocate(1);
-  set.load(barrier_program());
-  Dpu& dpu = set.dpu(0);
-  DpuRunStats st = dpu.launch(6, OptLevel::O3,
-                              sim::TaskletSchedule::StaggeredReverse);
-  EXPECT_FALSE(st.fast_path);
-  for (std::uint32_t t = 0; t < 6; ++t) {
-    std::uint64_t v = 0;
-    dpu.host_read("out", t * 8, &v, 8);
-    EXPECT_EQ(v, (t + 1) % 6 + 1);
-  }
+TEST_F(FastModeTest, TaskletOrderFollowsSimMode) {
+  // One phase: tasklet 0 writes a shared WRAM word and every tasklet copies
+  // that word to MRAM. Fast runs tasklet 0 first, so every copy sees the
+  // write; interp runs it last, so tasklets 1..3 copy the old zero. A
+  // kernel that reads another tasklet's same-phase writes therefore gives
+  // different bytes in the two modes, which the dual-run tests catch.
+  sim::DpuProgram p;
+  p.name = "order_probe";
+  p.symbols = {{"out", MemKind::Mram, 32}, {"word", MemKind::Wram, 8}};
+  p.entry = [](TaskletCtx& ctx) {
+    auto word = ctx.wram_span<std::uint64_t>("word");
+    if (ctx.id() == 0) {
+      word[0] = 7;
+    }
+    ctx.mram_write(ctx.mram_addr("out") + ctx.id() * 8, word.data(), 8);
+  };
+  const auto run = [&](SimMode mode) {
+    Dpu dpu;
+    dpu.load(p);
+    dpu.launch(4, OptLevel::O3, mode);
+    std::vector<std::uint64_t> out(4);
+    dpu.host_read("out", 0, out.data(), 32);
+    return out;
+  };
+  const auto fast = run(SimMode::Fast);
+  const auto interp = run(SimMode::Interp);
+  EXPECT_NE(fast, interp);
+  EXPECT_EQ(fast, (std::vector<std::uint64_t>{7, 7, 7, 7}));
+  EXPECT_EQ(interp, (std::vector<std::uint64_t>{7, 0, 0, 0}));
 }
 
 // ---- executor selection rules --------------------------------------------
@@ -261,24 +305,29 @@ TEST_F(FastModeTest, ProgramWithoutFastEntryInterpretsUnderFastMode) {
   p.fast_entry = nullptr;
   Dpu dpu;
   dpu.load(p);
-  DpuRunStats st = dpu.launch(4, OptLevel::O3,
-                              sim::TaskletSchedule::InOrder, SimMode::Fast);
+  DpuRunStats st = dpu.launch(4, OptLevel::O3, SimMode::Fast);
   EXPECT_FALSE(st.fast_path);
   std::uint64_t v = 0;
   dpu.host_read("out", 24, &v, 8);
   EXPECT_EQ(v, 103u);
 }
 
-TEST_F(FastModeTest, BarrierProgramIgnoresFastMode) {
-  sim::DpuProgram p = barrier_program();
-  // Even with a (nonsensical) fast twin attached, barrier programs must
-  // keep the threaded interpreter: the twin would break happens-before.
-  p.fast_entry = [](TaskletCtx&) { FAIL() << "fast twin ran on a barrier"; };
-  DpuSet set = DpuSet::allocate(1);
-  set.dpu(0).load(p);
-  DpuRunStats st = set.dpu(0).launch(
-      4, OptLevel::O3, sim::TaskletSchedule::InOrder, SimMode::Fast);
-  EXPECT_FALSE(st.fast_path);
+TEST_F(FastModeTest, PhasedProgramTakesItsTwinInFastMode) {
+  constexpr std::uint32_t kTasklets = 6;
+  Dpu dpu;
+  dpu.load(barrier_program());
+  const DpuRunStats interp = dpu.launch(kTasklets, OptLevel::O3,
+                                        SimMode::Interp);
+  EXPECT_FALSE(interp.fast_path);
+  expect_barrier_result(dpu, kTasklets);
+
+  Dpu twin;
+  twin.load(barrier_program());
+  const DpuRunStats fast = twin.launch(kTasklets, OptLevel::O3,
+                                       SimMode::Fast);
+  EXPECT_TRUE(fast.fast_path);
+  expect_barrier_result(twin, kTasklets);
+  expect_stats_equal(interp, fast);
 }
 
 // ---- mode plumbing through DpuSet / DpuPool / KernelSession --------------
@@ -310,29 +359,6 @@ TEST_F(FastModeTest, PoolAndSessionInheritAndOverrideMode) {
 }
 
 // ---- the dual-run equivalence contract on the eBNN kernel ----------------
-
-void expect_stats_equal(const DpuRunStats& a, const DpuRunStats& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.total_slots, b.total_slots);
-  EXPECT_EQ(a.total_dma_cycles, b.total_dma_cycles);
-  EXPECT_EQ(a.total_dma_bytes, b.total_dma_bytes);
-  ASSERT_EQ(a.tasklets.size(), b.tasklets.size());
-  for (std::size_t t = 0; t < a.tasklets.size(); ++t) {
-    EXPECT_EQ(a.tasklets[t].slots, b.tasklets[t].slots) << "tasklet " << t;
-    EXPECT_EQ(a.tasklets[t].dma_cycles, b.tasklets[t].dma_cycles)
-        << "tasklet " << t;
-    EXPECT_EQ(a.tasklets[t].dma_transfers, b.tasklets[t].dma_transfers)
-        << "tasklet " << t;
-    EXPECT_EQ(a.tasklets[t].dma_bytes, b.tasklets[t].dma_bytes)
-        << "tasklet " << t;
-  }
-  for (std::size_t s = 0; s < static_cast<std::size_t>(Subroutine::kCount);
-       ++s) {
-    const auto sub = static_cast<Subroutine>(s);
-    EXPECT_EQ(a.profile.occurrences(sub), b.profile.occurrences(sub))
-        << sim::subroutine_name(sub);
-  }
-}
 
 /// One raw-DPU eBNN run: loads the program, uploads weights + images the
 /// way EbnnHost does, launches under `mode`, and captures every symbol's
@@ -375,7 +401,7 @@ RunCapture run_ebnn_once(const EbnnConfig& cfg, const EbnnWeights& w,
 
   RunCapture out;
   out.stats =
-      dpu.launch(n_tasklets, opt, sim::TaskletSchedule::InOrder, mode);
+      dpu.launch(n_tasklets, opt, mode);
   for (const char* name :
        {ebnn::symbols::kImages, ebnn::symbols::kResults,
         ebnn::symbols::kMeta, ebnn::symbols::kConvWeights,

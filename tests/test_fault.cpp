@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/sim_mode.hpp"
 #include "core/offloader.hpp"
@@ -126,6 +127,38 @@ TEST_P(FaultTest, ParseRejectsBadSpecs) {
   EXPECT_THROW(sim::parse_fault_config("launch=abc"), ConfigError);
   EXPECT_THROW(sim::parse_fault_config("launch"), ConfigError);
   EXPECT_THROW(sim::parse_fault_config("seed="), ConfigError);
+  // Numbers are decimal or 0x hex digits only: no sign, no whitespace, no
+  // overflow (strtoull would read these as huge or clamped values).
+  EXPECT_THROW(sim::parse_fault_config("hang_cycles=-5"), ConfigError);
+  EXPECT_THROW(sim::parse_fault_config("bad_mask=-1"), ConfigError);
+  EXPECT_THROW(sim::parse_fault_config("seed=99999999999999999999999"),
+               ConfigError);
+  EXPECT_THROW(sim::parse_fault_config("hang_cycles= 7"), ConfigError);
+}
+
+TEST_P(FaultTest, StrictNumbersForFaultsAndDeadline) {
+  // KernelSession::default_deadline_cycles caches PIMDNN_DEADLINE in a
+  // static, so its parser is exercised directly with deadline strings.
+  const auto deadline = [](const std::string& text) {
+    return parse_u64(text, "PIMDNN_DEADLINE", "the cycle count");
+  };
+  EXPECT_EQ(deadline("250000"), 250000u);
+  EXPECT_EQ(deadline("0x3d090"), 250000u);
+  EXPECT_EQ(deadline("0XFF"), 255u);
+  EXPECT_EQ(deadline("18446744073709551615"), ~std::uint64_t{0});
+  EXPECT_EQ(deadline("0xffffffffffffffff"), ~std::uint64_t{0});
+  for (const char* bad :
+       {"", "-5", "+5", " 7", "7 ", "0x", "0x-1", "1e6", "12abc", "0x1g",
+        "18446744073709551616", "0x10000000000000000"}) {
+    EXPECT_THROW(deadline(bad), ConfigError) << "'" << bad << "'";
+  }
+  try {
+    deadline("-5");
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("PIMDNN_DEADLINE: bad number '-5'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- deterministic draws ---------------------------------------------------
@@ -135,12 +168,18 @@ TEST_P(FaultTest, DrawsAreDeterministicPerSeed) {
   cfg.seed = 99;
   cfg.launch_fail_rate = 0.5;
 
-  const auto sample = [&] {
+  // Bank-0 draws on DPU 3, optionally interleaved with bank-1 draws on
+  // the same DPU (the second bank of a pipeline numbers its DPUs from 0).
+  const auto sample = [&](bool interleave_bank1 = false) {
     sim::set_fault_config(cfg);
     std::vector<bool> hits;
     for (int i = 0; i < 64; ++i) {
       std::uint64_t salt = 0;
-      hits.push_back(sim::fault_plan().draw(FaultKind::LaunchFail, 3, salt));
+      hits.push_back(
+          sim::fault_plan().draw(FaultKind::LaunchFail, 0, 3, salt));
+      if (interleave_bank1) {
+        sim::fault_plan().draw(FaultKind::LaunchFail, 1, 3, salt);
+      }
     }
     return hits;
   };
@@ -150,6 +189,8 @@ TEST_P(FaultTest, DrawsAreDeterministicPerSeed) {
   // A 0.5 rate over 64 draws hits at least once and misses at least once.
   EXPECT_NE(std::count(first.begin(), first.end(), true), 0);
   EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
+  // Each bank keeps its own ordinals: bank 1's draws do not shift bank 0's.
+  EXPECT_EQ(sample(true), first);
 
   cfg.seed = 100;
   const auto other_seed = sample();

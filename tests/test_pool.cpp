@@ -1,5 +1,5 @@
-// Persistent DpuPool + threaded barrier tests: tasklet-schedule
-// independence of the staged GEMM kernel, program-cache activation
+// Persistent DpuPool + barrier-phase tests: tasklet-order independence
+// of the two-phase staged GEMM kernel, program-cache activation
 // lifecycle, MRAM region disjointness across cached programs, resident
 // weight tracking, warm-frame reuse through the pooled GEMM and the
 // YoloRunner, rows-per-DPU network coverage, and activation-lifetime
@@ -11,9 +11,11 @@
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/sim_mode.hpp"
 #include "nn/gemm.hpp"
 #include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
+#include "sim/dpu.hpp"
 #include "yolo/config.hpp"
 #include "yolo/detect.hpp"
 #include "yolo/dpu_gemm.hpp"
@@ -28,10 +30,9 @@ using runtime::OptLevel;
 using runtime::XferDir;
 using sim::MemKind;
 using sim::TaskletCtx;
-using sim::TaskletSchedule;
 using yolo::GemmVariant;
 
-// ---- tasklet barrier -------------------------------------------------------
+// ---- barrier phases --------------------------------------------------------
 
 // Mirrors the kernel's WRAM metadata block (dpu_gemm.cpp).
 struct GemmMeta {
@@ -40,12 +41,11 @@ struct GemmMeta {
   std::uint64_t variant, rows;
 };
 
-TEST(GemmBarrier, WramTiledIndependentOfTaskletSchedule) {
-  // The WramTiled kernel stages A rows from tasklet 0 and synchronizes on
-  // a barrier. Launching with the adversarial StaggeredReverse schedule
-  // (high tasklet ids enter the kernel first) must still produce the
-  // reference result — without the barrier, tasklets 1..7 would read
-  // unstaged zeros.
+TEST(GemmBarrier, WramTiledIndependentOfTaskletOrder) {
+  // The WramTiled kernel stages A rows from tasklet 0 in phase 0 and
+  // computes in phase 1. Interp runs each phase highest tasklet first and
+  // fast runs tasklet 0 first; both orders must produce the reference
+  // result and identical stats.
   const int m = 2, n = 300, k = 16;
   Rng rng(606);
   std::vector<std::int16_t> a(static_cast<std::size_t>(m) * k);
@@ -56,49 +56,67 @@ TEST(GemmBarrier, WramTiledIndependentOfTaskletSchedule) {
   nn::gemm_q16_reference(m, n, k, 2, a, b, expect);
 
   const auto prog = yolo::make_gemm_program(n, k, GemmVariant::WramTiled, m);
-  EXPECT_TRUE(prog.uses_barrier);
-  sim::Dpu d;
-  d.load(prog);
+  EXPECT_EQ(prog.phases, 2u);
+  EXPECT_EQ(yolo::make_gemm_program(n, k, GemmVariant::MramResident, m).phases,
+            1u);
 
   const GemmMeta meta{static_cast<std::uint64_t>(n),
                       static_cast<std::uint64_t>(k), 2,
                       static_cast<std::uint64_t>(GemmVariant::WramTiled),
                       static_cast<std::uint64_t>(m)};
-  d.host_write("meta", 0, &meta, sizeof(meta));
-  // k = 16 -> the 32-byte row stride has no padding; rows are contiguous.
-  d.host_write("a_rows", 0, a.data(), a.size() * 2);
-  d.host_write("b_mat", 0, b.data(), b.size() * 2);
-
   const MemSize c_stride = align_up(static_cast<MemSize>(n) * 2, kXferAlign);
-  auto read_c = [&] {
+  const auto run = [&](SimMode mode) {
+    sim::Dpu d;
+    d.load(prog);
+    d.host_write("meta", 0, &meta, sizeof(meta));
+    // k = 16 -> the 32-byte row stride has no padding; rows are contiguous.
+    d.host_write("a_rows", 0, a.data(), a.size() * 2);
+    d.host_write("b_mat", 0, b.data(), b.size() * 2);
+    const sim::DpuRunStats st = d.launch(8, OptLevel::O3, mode);
     std::vector<std::int16_t> c(static_cast<std::size_t>(m) * n);
     for (int r = 0; r < m; ++r) {
       d.host_read("c_rows", static_cast<MemSize>(r) * c_stride,
                   c.data() + static_cast<std::size_t>(r) * n,
                   static_cast<MemSize>(n) * 2);
     }
-    return c;
+    EXPECT_EQ(c, expect) << sim_mode_name(mode);
+    return st;
   };
 
-  const auto in_order = d.launch(8, OptLevel::O3, TaskletSchedule::InOrder);
-  EXPECT_EQ(read_c(), expect);
-  const auto reversed =
-      d.launch(8, OptLevel::O3, TaskletSchedule::StaggeredReverse);
-  EXPECT_EQ(read_c(), expect);
-  // Cycle accounting is schedule-independent (charges are per-tasklet).
-  EXPECT_EQ(in_order.cycles, reversed.cycles);
-  EXPECT_EQ(in_order.total_slots, reversed.total_slots);
+  const sim::DpuRunStats interp = run(SimMode::Interp);
+  const sim::DpuRunStats fast = run(SimMode::Fast);
+  EXPECT_EQ(interp.cycles, fast.cycles);
+  EXPECT_EQ(interp.total_slots, fast.total_slots);
+  EXPECT_EQ(interp.total_dma_cycles, fast.total_dma_cycles);
+  EXPECT_EQ(interp.total_dma_bytes, fast.total_dma_bytes);
+  ASSERT_EQ(interp.tasklets.size(), fast.tasklets.size());
+  for (std::size_t t = 0; t < interp.tasklets.size(); ++t) {
+    const sim::TaskletStats& i = interp.tasklets[t];
+    const sim::TaskletStats& f = fast.tasklets[t];
+    EXPECT_EQ(i.slots, f.slots) << "tasklet " << t;
+    EXPECT_EQ(i.dma_cycles, f.dma_cycles) << "tasklet " << t;
+    EXPECT_EQ(i.dma_transfers, f.dma_transfers) << "tasklet " << t;
+    EXPECT_EQ(i.dma_bytes, f.dma_bytes) << "tasklet " << t;
+  }
+  for (std::size_t s = 0;
+       s < static_cast<std::size_t>(sim::Subroutine::kCount); ++s) {
+    const auto sub = static_cast<sim::Subroutine>(s);
+    EXPECT_EQ(interp.profile.occurrences(sub), fast.profile.occurrences(sub))
+        << sim::subroutine_name(sub);
+  }
+  // The GEMM has no fast twin: both launches interpreted.
+  EXPECT_FALSE(interp.fast_path);
+  EXPECT_FALSE(fast.fast_path);
 }
 
-TEST(GemmBarrier, BarrierWaitInNonBarrierProgramThrows) {
+TEST(GemmBarrier, LoadRejectsZeroPhases) {
   sim::DpuProgram p;
-  p.name = "no-barrier";
+  p.name = "no-phases";
   p.symbols = {{"w", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) { ctx.barrier_wait(); };
-  // uses_barrier deliberately left false.
+  p.entry = [](TaskletCtx& ctx) { ctx.charge_alu(1); };
+  p.phases = 0;
   sim::Dpu d;
-  d.load(p);
-  EXPECT_THROW(d.launch(2), UsageError);
+  EXPECT_THROW(d.load(p), UsageError);
 }
 
 // ---- DpuPool ---------------------------------------------------------------
