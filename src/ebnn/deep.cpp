@@ -605,9 +605,9 @@ core::BatchProgram deep_batch_program(const DeepEbnnConfig& cfg,
   p.in_symbol = "images";
   p.out_symbol = "results";
   p.consts = {{"conv_w", to_bytes(conv_words)}, {"luts", lut_bytes}};
-  p.kernel_cost = [cfg](std::uint32_t items, std::uint32_t t,
-                        runtime::OptLevel opt) {
-    return estimate_deep_ebnn_wall_cycles(cfg, items, t, opt);
+  p.kernel_cost = [cfg, sys](std::uint32_t items, std::uint32_t t,
+                             runtime::OptLevel opt) {
+    return estimate_deep_ebnn_wall_cycles(cfg, items, t, opt, sys);
   };
   return p;
 }
@@ -617,7 +617,8 @@ core::BatchProgram deep_batch_program(const DeepEbnnConfig& cfg,
 Cycles estimate_deep_ebnn_wall_cycles(const DeepEbnnConfig& cfg,
                                       std::uint32_t n_images,
                                       std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt) {
+                                      runtime::OptLevel opt,
+                                      const runtime::UpmemConfig& sys) {
   require(n_tasklets >= 1,
           "estimate_deep_ebnn_wall_cycles: tasklets must be >= 1");
   const auto dims = deep_dims(cfg);
@@ -661,19 +662,14 @@ Cycles estimate_deep_ebnn_wall_cycles(const DeepEbnnConfig& cfg,
       sim::CostModel::dma_cycles(img_bytes) +
       sim::CostModel::dma_cycles(feat_words * sizeof(std::uint32_t));
 
-  std::uint64_t sum_slots = 0;
-  Cycles sum_dma = 0;
-  Cycles latency = 0;
+  std::vector<sim::TaskletStats> tasklets(n_tasklets);
   for (std::uint32_t t = 0; t < n_tasklets; ++t) {
     const std::uint64_t images =
         n_images > t ? (n_images - 1 - t) / n_tasklets + 1 : 0;
-    const std::uint64_t slots = cost.alu_stmt() + images * slots_per_image;
-    const Cycles dma = static_cast<Cycles>(images) * dma_per_image;
-    sum_slots += slots;
-    sum_dma += dma;
-    latency = std::max(latency, static_cast<Cycles>(slots) * 11 + dma);
+    tasklets[t].slots = cost.alu_stmt() + images * slots_per_image;
+    tasklets[t].dma_cycles = static_cast<Cycles>(images) * dma_per_image;
   }
-  return std::max({static_cast<Cycles>(sum_slots), sum_dma, latency});
+  return sim::wall_cycles(tasklets, sys);
 }
 
 DeepEbnnHost::DeepEbnnHost(const DeepEbnnConfig& cfg,

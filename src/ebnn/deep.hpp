@@ -58,13 +58,14 @@ int deep_feature_bits(const DeepEbnnConfig& cfg);
 
 /// Exact analytic kernel wall of one DPU holding `n_images` images run
 /// with `n_tasklets` tasklets — mirrors the deep kernel's charges
-/// one-for-one (the calibration tests assert equality with the simulated
-/// DpuRunStats in both sim modes). This is the kernel-cost callback
-/// `map::Mapper` searches with.
-Cycles estimate_deep_ebnn_wall_cycles(const DeepEbnnConfig& cfg,
-                                      std::uint32_t n_images,
-                                      std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt);
+/// one-for-one and prices them with sim::wall_cycles on `sys` (the
+/// calibration tests assert equality with the simulated DpuRunStats in
+/// both sim modes). This is the kernel-cost callback `map::Mapper`
+/// searches with.
+Cycles estimate_deep_ebnn_wall_cycles(
+    const DeepEbnnConfig& cfg, std::uint32_t n_images,
+    std::uint32_t n_tasklets, runtime::OptLevel opt,
+    const runtime::UpmemConfig& sys = sim::default_config());
 
 /// Weights: per block, per filter, per input channel packed tap bits;
 /// per block BN parameters; float FC tail.

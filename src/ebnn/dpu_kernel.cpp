@@ -501,7 +501,8 @@ sim::DpuProgram make_ebnn_program(const EbnnConfig& cfg, BnMode mode,
 Cycles estimate_ebnn_wall_cycles(const EbnnConfig& cfg, BnMode mode,
                                  ConvKernel kernel, std::uint32_t n_images,
                                  std::uint32_t n_tasklets,
-                                 sim::OptLevel opt) {
+                                 sim::OptLevel opt,
+                                 const sim::UpmemConfig& sys) {
   require(n_tasklets >= 1, "estimate_ebnn_wall_cycles: tasklets must be >= 1");
   const EbnnLayout layout = ebnn_layout(cfg);
   const sim::CostModel cost(opt);
@@ -556,20 +557,14 @@ Cycles estimate_ebnn_wall_cycles(const EbnnConfig& cfg, BnMode mode,
       sim::CostModel::dma_cycles(feat_words * sizeof(std::uint32_t));
 
   // Tasklet t runs images {t, t+T, ...}; every tasklet reads the metadata.
-  std::uint64_t sum_slots = 0;
-  Cycles sum_dma = 0;
-  Cycles latency = 0;
+  std::vector<sim::TaskletStats> tasklets(n_tasklets);
   for (std::uint32_t t = 0; t < n_tasklets; ++t) {
     const std::uint64_t images =
         n_images > t ? (n_images - 1 - t) / n_tasklets + 1 : 0;
-    const std::uint64_t slots =
-        cost.alu_stmt() + images * slots_per_image;
-    const Cycles dma = static_cast<Cycles>(images) * dma_per_image;
-    sum_slots += slots;
-    sum_dma += dma;
-    latency = std::max(latency, static_cast<Cycles>(slots) * 11 + dma);
+    tasklets[t].slots = cost.alu_stmt() + images * slots_per_image;
+    tasklets[t].dma_cycles = static_cast<Cycles>(images) * dma_per_image;
   }
-  return std::max({static_cast<Cycles>(sum_slots), sum_dma, latency});
+  return sim::wall_cycles(tasklets, sys);
 }
 
 } // namespace pimdnn::ebnn

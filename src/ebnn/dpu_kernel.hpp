@@ -73,12 +73,13 @@ sim::DpuProgram make_ebnn_program(const EbnnConfig& cfg, BnMode mode,
 
 /// Exact analytic kernel wall of one DPU holding `n_images` images run
 /// with `n_tasklets` tasklets: replicates the kernel's cost charges
-/// one-for-one (the calibration tests assert equality with the simulated
-/// DpuRunStats in both sim modes). This is the kernel-cost callback
-/// `map::Mapper` searches with.
-Cycles estimate_ebnn_wall_cycles(const EbnnConfig& cfg, BnMode mode,
-                                 ConvKernel kernel, std::uint32_t n_images,
-                                 std::uint32_t n_tasklets,
-                                 sim::OptLevel opt);
+/// one-for-one and prices them with sim::wall_cycles on `sys` (the
+/// calibration tests assert equality with the simulated DpuRunStats in
+/// both sim modes). This is the kernel-cost callback `map::Mapper`
+/// searches with.
+Cycles estimate_ebnn_wall_cycles(
+    const EbnnConfig& cfg, BnMode mode, ConvKernel kernel,
+    std::uint32_t n_images, std::uint32_t n_tasklets, sim::OptLevel opt,
+    const sim::UpmemConfig& sys = sim::default_config());
 
 } // namespace pimdnn::ebnn

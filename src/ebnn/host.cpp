@@ -10,10 +10,11 @@ namespace pimdnn::ebnn {
 namespace {
 
 /// The eBNN batch program: the conv weights and the BN stage (LUT or float
-/// parameters) are its WRAM constants.
+/// parameters) are its WRAM constants; its kernel is priced on `sys`.
 core::BatchProgram ebnn_batch_program(const EbnnConfig& cfg,
                                       const EbnnWeights& w, BnMode mode,
-                                      ConvKernel kernel) {
+                                      ConvKernel kernel,
+                                      const runtime::UpmemConfig& sys) {
   const EbnnLayout layout = ebnn_layout(cfg);
   core::BatchProgram p;
   p.signature = "ebnn";
@@ -37,9 +38,10 @@ core::BatchProgram ebnn_batch_program(const EbnnConfig& cfg,
     }
     p.consts.push_back({symbols::kBnParams, to_bytes(bn)});
   }
-  p.kernel_cost = [cfg, mode, kernel](std::uint32_t items, std::uint32_t t,
-                                      runtime::OptLevel opt) {
-    return estimate_ebnn_wall_cycles(cfg, mode, kernel, items, t, opt);
+  p.kernel_cost = [cfg, mode, kernel, sys](std::uint32_t items,
+                                           std::uint32_t t,
+                                           runtime::OptLevel opt) {
+    return estimate_ebnn_wall_cycles(cfg, mode, kernel, items, t, opt, sys);
   };
   return p;
 }
@@ -52,7 +54,7 @@ EbnnHost::EbnnHost(const EbnnConfig& cfg, EbnnWeights weights, BnMode mode,
       weights_(std::move(weights)),
       layout_(ebnn_layout(cfg)),
       reference_(cfg_, weights_),
-      engine_(ebnn_batch_program(cfg_, weights_, mode, kernel), sys) {}
+      engine_(ebnn_batch_program(cfg_, weights_, mode, kernel, sys), sys) {}
 
 core::Offloader::Bind<EbnnBatchResult> EbnnHost::hooks() const {
   return [this](const std::vector<Image>& images,

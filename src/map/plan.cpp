@@ -2,10 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace pimdnn::map {
 
@@ -27,23 +29,23 @@ MappingOverride resolve_env_locked() {
   return *g_env_cache;
 }
 
-/// Parses a non-negative integer; throws ConfigError naming both the bad
-/// value and the token it appeared in (e.g. "bad number 'x' in 'rows=x'").
-std::uint64_t parse_u64(const std::string& text, const std::string& what,
-                        const std::string& token) {
-  if (text.empty()) {
-    throw ConfigError("PIMDNN_MAPPING: empty value for " + what + " in '" +
-                      token + "'");
+/// Parses the value `text` of token `part` as a number in [1, max of T];
+/// every ConfigError names the token (e.g. "bad number 'x' for rows in
+/// 'rows=x'").
+template <typename T>
+T parse_field(const std::string& text, const std::string& what,
+              const std::string& part) {
+  const std::uint64_t v =
+      parse_u64(text, "PIMDNN_MAPPING", what + " in '" + part + "'");
+  if (v < 1) {
+    throw ConfigError("PIMDNN_MAPPING: " + what + " must be >= 1 in '" +
+                      part + "'");
   }
-  std::uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      throw ConfigError("PIMDNN_MAPPING: bad number '" + text + "' for " +
-                        what + " in '" + token + "'");
-    }
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+  if (v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    throw ConfigError("PIMDNN_MAPPING: " + what + " out of range in '" +
+                      part + "'");
   }
-  return v;
+  return static_cast<T>(v);
 }
 
 } // namespace
@@ -112,34 +114,19 @@ MappingOverride MappingOverride::parse(const std::string& text) {
     const std::string key = part.substr(0, eq);
     const std::string val = part.substr(eq + 1);
     if (key == "rows") {
-      const std::uint64_t v = parse_u64(val, "rows", part);
-      if (v < 1) {
-        throw ConfigError("PIMDNN_MAPPING: rows must be >= 1 in '" + part +
-                          "'");
-      }
-      o.rows_per_dpu = static_cast<int>(v);
+      o.rows_per_dpu = parse_field<int>(val, key, part);
     } else if (key == "images") {
-      const std::uint64_t v = parse_u64(val, "images", part);
-      if (v < 1) {
-        throw ConfigError("PIMDNN_MAPPING: images must be >= 1 in '" + part +
-                          "'");
-      }
-      o.items_per_dpu = static_cast<std::uint32_t>(v);
+      o.items_per_dpu = parse_field<std::uint32_t>(val, key, part);
     } else if (key == "tasklets") {
-      const std::uint64_t v = parse_u64(val, "tasklets", part);
-      if (v < 1) {
-        throw ConfigError("PIMDNN_MAPPING: tasklets must be >= 1 in '" +
-                          part + "'");
-      }
-      o.n_tasklets = static_cast<std::uint32_t>(v);
+      o.n_tasklets = parse_field<std::uint32_t>(val, key, part);
     } else if (key == "split") {
-      const std::uint64_t v = parse_u64(val, "split", part);
-      if (v < 1 || (v & (v - 1)) != 0) {
+      const auto v = parse_field<std::uint32_t>(val, key, part);
+      if ((v & (v - 1)) != 0) {
         throw ConfigError("PIMDNN_MAPPING: split must be a power of two "
                           ">= 1, got '" +
                           part + "'");
       }
-      o.split = static_cast<std::uint32_t>(v);
+      o.split = v;
     } else {
       throw ConfigError("PIMDNN_MAPPING: unknown key '" + key + "' in '" +
                         part +

@@ -9,6 +9,23 @@
 
 namespace pimdnn::sim {
 
+Cycles tasklet_cycles(const TaskletStats& t, const UpmemConfig& cfg) {
+  return static_cast<Cycles>(t.slots) * cfg.pipeline_stages + t.dma_cycles;
+}
+
+Cycles wall_cycles(std::span<const TaskletStats> tasklets,
+                   const UpmemConfig& cfg) {
+  std::uint64_t slots = 0;
+  Cycles dma = 0;
+  Cycles latency = 0;
+  for (const TaskletStats& t : tasklets) {
+    slots += t.slots;
+    dma += t.dma_cycles;
+    latency = std::max(latency, tasklet_cycles(t, cfg));
+  }
+  return std::max({static_cast<Cycles>(slots), dma, latency});
+}
+
 Dpu::Dpu(const UpmemConfig& cfg)
     : cfg_(cfg),
       mram_(cfg.mram_bytes),
@@ -142,18 +159,12 @@ DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
     obs::Metrics::instance().add("sim.fast_launches");
   }
 
-  Cycles latency_bound = 0;
   for (const TaskletStats& ts : out.tasklets) {
     out.total_slots += ts.slots;
     out.total_dma_cycles += ts.dma_cycles;
     out.total_dma_bytes += ts.dma_bytes;
-    latency_bound =
-        std::max(latency_bound,
-                 static_cast<Cycles>(ts.slots) * cfg_.pipeline_stages +
-                     ts.dma_cycles);
   }
-  out.cycles = std::max({static_cast<Cycles>(out.total_slots),
-                         out.total_dma_cycles, latency_bound});
+  out.cycles = wall_cycles(out.tasklets, cfg_);
   if (sp.active()) {
     sp.u64("cycles", out.cycles);
     sp.u64("slots", out.total_slots);

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,8 +63,8 @@ struct SymbolInfo {
 
 /// Result of one kernel launch on one DPU.
 struct DpuRunStats {
-  /// Modeled execution cycles, with S = UpmemConfig::pipeline_stages
-  /// (11 by default):
+  /// Modeled execution cycles (`wall_cycles`), with S =
+  /// UpmemConfig::pipeline_stages (11 by default):
   ///   max( Σ_t slots_t,                -- pipeline issues 1 instr/cycle
   ///        Σ_t dma_t,                  -- single shared DMA engine
   ///        max_t (S·slots_t + dma_t) ) -- per-tasklet in-order latency
@@ -83,6 +84,17 @@ struct DpuRunStats {
   /// ran the program's `fast_entry` instead of interpreting `entry`.
   bool fast_path = false;
 };
+
+/// One tasklet's in-order latency: S·slots + dma, with S =
+/// `cfg.pipeline_stages` (a lone tasklet issues one instruction every S
+/// cycles and stalls on its own DMAs).
+Cycles tasklet_cycles(const TaskletStats& t, const UpmemConfig& cfg);
+
+/// The wall rule of `DpuRunStats::cycles`: max(Σ slots, Σ DMA, max over
+/// tasklets of tasklet_cycles). Dpu::launch and every analytic kernel
+/// estimator price a launch through this one function.
+Cycles wall_cycles(std::span<const TaskletStats> tasklets,
+                   const UpmemConfig& cfg);
 
 /// One simulated DPU.
 class Dpu {

@@ -9,9 +9,7 @@ namespace pimdnn::sim {
 CycleBound dominant_bound(const DpuRunStats& stats, const UpmemConfig& cfg) {
   Cycles latency = 0;
   for (const TaskletStats& t : stats.tasklets) {
-    latency = std::max(latency,
-                       static_cast<Cycles>(t.slots) * cfg.pipeline_stages +
-                           t.dma_cycles);
+    latency = std::max(latency, tasklet_cycles(t, cfg));
   }
   if (stats.cycles == latency &&
       latency >= stats.total_slots &&
@@ -43,9 +41,7 @@ double tasklet_imbalance(const DpuRunStats& stats, const UpmemConfig& cfg) {
   double sum = 0.0;
   double worst = 0.0;
   for (const TaskletStats& t : stats.tasklets) {
-    const double c =
-        static_cast<double>(t.slots) * cfg.pipeline_stages +
-        static_cast<double>(t.dma_cycles);
+    const auto c = static_cast<double>(tasklet_cycles(t, cfg));
     sum += c;
     worst = std::max(worst, c);
   }

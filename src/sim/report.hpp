@@ -14,7 +14,7 @@ namespace pimdnn::sim {
 enum class CycleBound : std::uint8_t {
   Issue,   ///< Σ issue slots: the pipeline was kept full
   Dma,     ///< Σ DMA cycles: the MRAM interface was the bottleneck
-  Latency, ///< 11·slots + dma of the slowest tasklet: under-threaded
+  Latency, ///< S·slots + dma of the slowest tasklet: under-threaded
 };
 
 /// Classifies which bound produced `stats.cycles`.

@@ -216,9 +216,7 @@ void TaskletCtx::perfcounter_config() { perf_base_ = elapsed(); }
 Cycles TaskletCtx::perfcounter_get() const { return elapsed() - perf_base_; }
 
 Cycles TaskletCtx::elapsed() const {
-  return static_cast<Cycles>(stats_.slots) *
-             dpu_.config().pipeline_stages +
-         stats_.dma_cycles;
+  return tasklet_cycles(stats_, dpu_.config());
 }
 
 } // namespace pimdnn::sim

@@ -1,6 +1,7 @@
 #include "yolo/dpu_gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 
@@ -39,30 +40,147 @@ MemSize c_stride_bytes(int n) {
   return align_up(static_cast<MemSize>(n) * 2, kXferAlign);
 }
 
+/// WramTiled stages the A rows in phase 0 and computes after the barrier.
+std::uint32_t gemm_phases(GemmVariant variant) {
+  return variant == GemmVariant::WramTiled ? 2 : 1;
+}
+
+/// What `gemm_tasklet` charges one tasklet over a whole launch (the
+/// barrier statements between phases are Dpu::launch's). The interpreted
+/// kernel issues these charges op by op; the fast twin applies the count
+/// fields in bulk (its real DMAs charge themselves) and
+/// estimate_gemm_row_cycles prices the whole record, so this is the one
+/// closed form of the kernel's cost.
+struct GemmCharges {
+  std::uint64_t alu = 0;   ///< plain ALU statements
+  std::uint64_t loops = 0; ///< loop iterations
+  std::uint64_t mul16 = 0; ///< 16-bit multiplies (APART = ALPHA * A)
+  std::uint64_t mul32 = 0; ///< 32-bit multiplies (the MACs)
+  Cycles dma = 0;          ///< cycles of every DMA transfer
+};
+
+/// Charges of tasklet `t` of `n_tasklets` computing `rows` rows. O(1):
+/// tasklet t takes strips t, t+T, ... of each row, and only a row's last
+/// strip can be narrower than kGemmStrip.
+GemmCharges gemm_charges(int n, int k, GemmVariant variant, int rows,
+                         std::uint32_t t, std::uint32_t n_tasklets) {
+  const bool tiled = variant == GemmVariant::WramTiled;
+  const auto uk = static_cast<std::uint64_t>(k);
+  const auto urows = static_cast<std::uint64_t>(rows);
+  GemmCharges c;
+  const auto add_dma = [&c](MemSize bytes, std::uint64_t count) {
+    c.dma += count * CostModel::dma_cycles(bytes);
+  };
+  c.alu = 5; // meta loads
+  if (tiled && t == 0) {
+    // Phase 0: one loop iteration per <=2048-byte A staging DMA.
+    const MemSize row_bytes = static_cast<MemSize>(k) * 2;
+    const std::uint64_t full = row_bytes / kDmaMax;
+    const MemSize tail = row_bytes % kDmaMax;
+    add_dma(kDmaMax, urows * full);
+    add_dma(tail, tail != 0 ? urows : 0);
+    c.loops += urows * (full + (tail != 0 ? 1 : 0));
+  }
+  c.loops += urows; // row loop
+
+  const auto n_strips = static_cast<std::uint32_t>(
+      (n + kGemmStrip - 1) / kGemmStrip);
+  const std::uint64_t mine =
+      t < n_strips ? (n_strips - 1 - t) / n_tasklets + 1 : 0;
+  const std::uint64_t last =
+      mine != 0 && (n_strips - 1) % n_tasklets == t ? 1 : 0;
+  const auto strips = [&](std::uint64_t cols, std::uint64_t count) {
+    const std::uint64_t s = urows * count;
+    // Zeroing and the output stage (cols iterations each), then k
+    // iterations of: WramTiled's A load, the APART multiply and the
+    // cols-wide MAC loop (one 32-bit multiply and 4 statements per MAC).
+    c.loops += s * (2 * cols + uk * (1 + cols));
+    c.alu += s * (5 * cols + uk * ((tiled ? 1 : 0) + 4 * cols));
+    c.mul16 += s * uk;
+    c.mul32 += s * uk * cols;
+    add_dma(2 * cols, s * (uk + 1)); // the B strip per k, then C
+    if (!tiled) {
+      add_dma(8, s * uk);                  // the A element per k
+      add_dma(4 * cols, s * (2 * uk + 1)); // flush, then RMW per k
+    }
+  };
+  strips(kGemmStrip, mine - last);
+  strips(static_cast<std::uint64_t>(n) - (n_strips - 1) * kGemmStrip, last);
+  return c;
+}
+
+/// One tasklet's view of the launch: metadata, its WRAM strip buffers and
+/// the MRAM symbol bases, read the same way by the kernel and its twin.
+struct GemmView {
+  int n, k, rows;
+  std::int32_t alpha;
+  GemmVariant variant;
+  std::int16_t* a_wram;
+  std::int16_t* bch;
+  std::int32_t* ctmp;
+  std::int16_t* cout;
+  MemSize a_base, b_base, c_base, ctmp_base, a_stride, c_stride;
+
+  GemmView(TaskletCtx& ctx, const Meta& meta)
+      : n(static_cast<int>(meta.n)),
+        k(static_cast<int>(meta.k)),
+        rows(static_cast<int>(meta.rows)),
+        alpha(static_cast<std::int32_t>(meta.alpha)),
+        variant(static_cast<GemmVariant>(meta.variant)) {
+    a_wram = ctx.wram_span<std::int16_t>("a_wram").data();
+    bch = ctx.wram_span<std::int16_t>("bchunk").data() +
+          ctx.id() * kGemmStrip;
+    ctmp = ctx.wram_span<std::int32_t>("ctmpw").data() +
+           ctx.id() * kGemmStrip;
+    cout = ctx.wram_span<std::int16_t>("coutw").data() +
+           ctx.id() * kGemmStrip;
+    a_base = ctx.mram_addr("a_rows");
+    b_base = ctx.mram_addr("b_mat");
+    c_base = ctx.mram_addr("c_rows");
+    ctmp_base = ctx.mram_addr("ctmp_mram");
+    a_stride = a_stride_bytes(k);
+    c_stride = c_stride_bytes(n);
+  }
+};
+
+const Meta& gemm_meta(TaskletCtx& ctx) {
+  return ctx.wram_span<Meta>("meta")[0];
+}
+
+/// WramTiled phase 0 on tasklet 0: stages every assigned A row into WRAM
+/// in <=2048-byte DMAs, calling `per_dma` after each.
+template <typename PerDma>
+void stage_a_rows(TaskletCtx& ctx, const GemmView& g, PerDma per_dma) {
+  const MemSize row_bytes = static_cast<MemSize>(g.k) * 2;
+  for (int r = 0; r < g.rows; ++r) {
+    auto* dst = reinterpret_cast<std::uint8_t*>(
+        g.a_wram + static_cast<std::size_t>(r) * g.k);
+    for (MemSize off = 0; off < row_bytes;) {
+      const MemSize chunk = std::min<MemSize>(kDmaMax, row_bytes - off);
+      ctx.mram_read(dst + off, g.a_base + r * g.a_stride + off, chunk);
+      per_dma();
+      off += chunk;
+    }
+  }
+}
+
+/// The output stage (Algorithm 2 line 9): C = absolutemax(ctmp/32, 32767),
+/// written back to the row's C strip.
+void write_c_strip(TaskletCtx& ctx, const GemmView& g, int r, int c0,
+                   int cols) {
+  for (int j = 0; j < cols; ++j) {
+    g.cout[j] = saturate_shift_down(g.ctmp[j], 5, 32767);
+  }
+  ctx.mram_write(g.c_base + r * g.c_stride + static_cast<MemSize>(c0) * 2,
+                 g.cout, static_cast<MemSize>(cols) * 2);
+}
+
+/// The interpreted kernel: the per-operation reference for every charge
+/// (see gemm_charges) and every memory effect.
 void gemm_tasklet(TaskletCtx& ctx) {
-  auto meta = ctx.wram_span<std::uint64_t>("meta");
-  const int n = static_cast<int>(meta[0]);
-  const int k = static_cast<int>(meta[1]);
-  const auto alpha =
-      static_cast<std::int32_t>(static_cast<std::int64_t>(meta[2]));
-  const auto variant = static_cast<GemmVariant>(meta[3]);
-  const int rows = static_cast<int>(meta[4]);
-
-  auto a_wram = ctx.wram_span<std::int16_t>("a_wram");
-  auto bchunk_all = ctx.wram_span<std::int16_t>("bchunk");
-  auto ctmp_all = ctx.wram_span<std::int32_t>("ctmpw");
-  auto cout_all = ctx.wram_span<std::int16_t>("coutw");
-
-  const MemSize a_base = ctx.mram_addr("a_rows");
-  const MemSize b_base = ctx.mram_addr("b_mat");
-  const MemSize c_base = ctx.mram_addr("c_rows");
-  const MemSize ctmp_base = ctx.mram_addr("ctmp_mram");
-  const MemSize a_stride = a_stride_bytes(k);
-  const MemSize c_stride = c_stride_bytes(n);
-
-  std::int16_t* bch = bchunk_all.data() + ctx.id() * kGemmStrip;
-  std::int32_t* ctmp = ctmp_all.data() + ctx.id() * kGemmStrip;
-  std::int16_t* cout = cout_all.data() + ctx.id() * kGemmStrip;
+  const GemmView g(ctx, gemm_meta(ctx));
+  const int n = g.n;
+  const int k = g.k;
 
   if (ctx.phase() == 0) {
     ctx.charge_alu(5); // meta loads
@@ -73,71 +191,59 @@ void gemm_tasklet(TaskletCtx& ctx) {
   // WramTiled phase 0: tasklet 0 stages every assigned A row into WRAM
   // once. The barrier before phase 1 keeps every tasklet from reading
   // unstaged rows.
-  if (variant == GemmVariant::WramTiled && ctx.phase() == 0) {
+  if (g.variant == GemmVariant::WramTiled && ctx.phase() == 0) {
     if (ctx.id() == 0) {
-      for (int r = 0; r < rows; ++r) {
-        MemSize off = 0;
-        const MemSize row_bytes = static_cast<MemSize>(k) * 2;
-        auto* dst = reinterpret_cast<std::uint8_t*>(
-            a_wram.data() + static_cast<std::size_t>(r) * k);
-        while (off < row_bytes) {
-          const MemSize chunk = std::min<MemSize>(kDmaMax, row_bytes - off);
-          ctx.mram_read(dst + off, a_base + r * a_stride + off, chunk);
-          ctx.charge_loop(1);
-          off += chunk;
-        }
-      }
+      stage_a_rows(ctx, g, [&] { ctx.charge_loop(1); });
     }
     return;
   }
 
   const int n_strips = (n + kGemmStrip - 1) / kGemmStrip;
-  for (int r = 0; r < rows; ++r) {
+  for (int r = 0; r < g.rows; ++r) {
     ctx.charge_loop(1);
     for (int strip = static_cast<int>(ctx.id()); strip < n_strips;
          strip += static_cast<int>(ctx.n_tasklets())) {
       const int c0 = strip * kGemmStrip;
       const int cols = std::min(kGemmStrip, n - c0);
+      const MemSize ctmp_addr = g.ctmp_base + static_cast<MemSize>(c0) * 4;
 
       // Zero the accumulator strip.
       ctx.charge_loop(static_cast<std::uint64_t>(cols));
       ctx.charge_alu(static_cast<std::uint64_t>(cols));
-      std::memset(ctmp, 0, static_cast<std::size_t>(cols) * sizeof(*ctmp));
-      if (variant == GemmVariant::MramResident) {
+      std::memset(g.ctmp, 0, static_cast<std::size_t>(cols) * sizeof(*g.ctmp));
+      if (g.variant == GemmVariant::MramResident) {
         // The resident accumulator must start from zeros in MRAM too —
         // the k-loop's first read-back would otherwise see the previous
         // row's totals.
-        ctx.mram_write(ctmp_base + static_cast<MemSize>(c0) * 4, ctmp,
-                       static_cast<MemSize>(cols) * 4);
+        ctx.mram_write(ctmp_addr, g.ctmp, static_cast<MemSize>(cols) * 4);
       }
 
       for (int kk = 0; kk < k; ++kk) {
         ctx.charge_loop(1);
 
         std::int32_t a_val;
-        if (variant == GemmVariant::WramTiled) {
-          a_val = a_wram[static_cast<std::size_t>(r) * k + kk];
+        if (g.variant == GemmVariant::WramTiled) {
+          a_val = g.a_wram[static_cast<std::size_t>(r) * k + kk];
           ctx.charge_alu(1);
         } else {
           // MramResident: fetch the A element through an 8-byte DMA every
           // iteration — the naive port's access pattern.
           std::int16_t tmp[4];
           const MemSize byte = static_cast<MemSize>(kk) * 2;
-          ctx.mram_read(tmp, a_base + r * a_stride + (byte & ~MemSize{7}),
+          ctx.mram_read(tmp, g.a_base + r * g.a_stride + (byte & ~MemSize{7}),
                         8);
           a_val = tmp[byte % 8 / 2];
         }
         // APART = ALPHA * A[i*K+k] (Algorithm 2 line 5): 16x16-bit mult.
         ctx.charge_mul(16, 1);
-        const auto apart = static_cast<std::uint32_t>(alpha * a_val);
+        const auto apart = static_cast<std::uint32_t>(g.alpha * a_val);
 
         // Stream this k-row's strip of B through WRAM.
-        ctx.mram_read(bch,
-                      b_base + (static_cast<MemSize>(kk) * n + c0) * 2,
+        ctx.mram_read(g.bch,
+                      g.b_base + (static_cast<MemSize>(kk) * n + c0) * 2,
                       static_cast<MemSize>(cols) * 2);
-        if (variant == GemmVariant::MramResident) {
-          ctx.mram_read(ctmp, ctmp_base + static_cast<MemSize>(c0) * 4,
-                        static_cast<MemSize>(cols) * 4);
+        if (g.variant == GemmVariant::MramResident) {
+          ctx.mram_read(g.ctmp, ctmp_addr, static_cast<MemSize>(cols) * 4);
         }
 
         // MAC loop (Algorithm 2 line 7). APART is 32-bit, so every
@@ -148,25 +254,85 @@ void gemm_tasklet(TaskletCtx& ctx) {
         for (int j = 0; j < cols; ++j) {
           const auto term =
               apart * static_cast<std::uint32_t>(
-                          static_cast<std::int32_t>(bch[j]));
-          ctmp[j] = static_cast<std::int32_t>(
-              static_cast<std::uint32_t>(ctmp[j]) + term);
+                          static_cast<std::int32_t>(g.bch[j]));
+          g.ctmp[j] = static_cast<std::int32_t>(
+              static_cast<std::uint32_t>(g.ctmp[j]) + term);
         }
 
-        if (variant == GemmVariant::MramResident) {
-          ctx.mram_write(ctmp_base + static_cast<MemSize>(c0) * 4, ctmp,
-                         static_cast<MemSize>(cols) * 4);
+        if (g.variant == GemmVariant::MramResident) {
+          ctx.mram_write(ctmp_addr, g.ctmp, static_cast<MemSize>(cols) * 4);
         }
       }
 
-      // Output stage (Algorithm 2 line 9): C = absolutemax(ctmp/32, 32767).
       ctx.charge_loop(static_cast<std::uint64_t>(cols));
       ctx.charge_alu(4 * static_cast<std::uint64_t>(cols));
-      for (int j = 0; j < cols; ++j) {
-        cout[j] = saturate_shift_down(ctmp[j], 5, 32767);
+      write_c_strip(ctx, g, r, c0, cols);
+    }
+  }
+}
+
+/// Fast-path twin of `gemm_tasklet` (SimMode::Fast): the same DMAs in the
+/// same order (so WRAM scratch, MRAM and every DMA stat match without
+/// extra work), the kernel's slot charges applied once per tasklet from
+/// gemm_charges, and native arithmetic. It accumulates Σ a·b of the int16
+/// operands and scales by ALPHA once per strip: modulo 2^32,
+/// Σ (ALPHA·a)·b ≡ ALPHA·Σ a·b, and every a·b fits in int32. The sums are
+/// unsigned because two such products can already reach 2^31.
+void gemm_tasklet_fast(TaskletCtx& ctx) {
+  const Meta& meta = gemm_meta(ctx);
+  // MramResident runs on no hot path: its twin is the interpreter.
+  if (static_cast<GemmVariant>(meta.variant) == GemmVariant::MramResident) {
+    gemm_tasklet(ctx);
+    return;
+  }
+  const auto n = static_cast<int>(meta.n);
+  const auto k = static_cast<int>(meta.k);
+
+  if (ctx.phase() == 0) {
+    require(ctx.n_tasklets() <= map::kMaxGemmTasklets,
+            "GEMM program supports at most 16 tasklets");
+    const GemmCharges c = gemm_charges(n, k, GemmVariant::WramTiled,
+                                       static_cast<int>(meta.rows),
+                                       ctx.id(), ctx.n_tasklets());
+    ctx.charge_alu(c.alu);
+    ctx.charge_loop(c.loops);
+    ctx.charge_mul(16, c.mul16);
+    ctx.charge_mul(32, c.mul32);
+    if (ctx.id() == 0) {
+      stage_a_rows(ctx, GemmView(ctx, meta), [] {});
+    }
+    return;
+  }
+
+  // A tasklet past the last strip has nothing left to do.
+  const int n_strips = (n + kGemmStrip - 1) / kGemmStrip;
+  if (static_cast<int>(ctx.id()) >= n_strips) {
+    return;
+  }
+  const GemmView g(ctx, meta);
+  const auto ualpha = static_cast<std::uint32_t>(g.alpha);
+  std::array<std::uint32_t, kGemmStrip> acc;
+  for (int r = 0; r < g.rows; ++r) {
+    const std::int16_t* a_row = g.a_wram + static_cast<std::size_t>(r) * k;
+    for (int strip = static_cast<int>(ctx.id()); strip < n_strips;
+         strip += static_cast<int>(ctx.n_tasklets())) {
+      const int c0 = strip * kGemmStrip;
+      const int cols = std::min(kGemmStrip, n - c0);
+      const MemSize b_strip = g.b_base + static_cast<MemSize>(c0) * 2;
+      std::fill_n(acc.begin(), cols, 0u);
+      for (int kk = 0; kk < k; ++kk) {
+        ctx.mram_read(g.bch, b_strip + static_cast<MemSize>(kk) * n * 2,
+                      static_cast<MemSize>(cols) * 2);
+        const std::int32_t a = a_row[kk];
+        for (int j = 0; j < cols; ++j) {
+          acc[j] += static_cast<std::uint32_t>(
+              a * static_cast<std::int32_t>(g.bch[j]));
+        }
       }
-      ctx.mram_write(c_base + r * c_stride + static_cast<MemSize>(c0) * 2,
-                     cout, static_cast<MemSize>(cols) * 2);
+      for (int j = 0; j < cols; ++j) {
+        g.ctmp[j] = static_cast<std::int32_t>(ualpha * acc[j]);
+      }
+      write_c_strip(ctx, g, r, c0, cols);
     }
   }
 }
@@ -182,8 +348,7 @@ sim::DpuProgram make_gemm_program(int n, int k, GemmVariant variant,
   sim::DpuProgram prog;
   prog.name = "yolo_gemm";
   prog.iram_bytes = 4096;
-  // WramTiled stages the A rows in phase 0 and computes after the barrier.
-  prog.phases = variant == GemmVariant::WramTiled ? 2 : 1;
+  prog.phases = gemm_phases(variant);
   prog.symbols = {
       {"meta", MemKind::Wram, sizeof(Meta)},
       {"a_wram", MemKind::Wram, a_bytes},
@@ -199,6 +364,7 @@ sim::DpuProgram make_gemm_program(int n, int k, GemmVariant variant,
        align_up(static_cast<MemSize>(n) * 4, kXferAlign)},
   };
   prog.entry = gemm_tasklet;
+  prog.fast_entry = gemm_tasklet_fast;
   return prog;
 }
 
@@ -206,7 +372,8 @@ map::MappingPlan plan_gemm_mapping(int m, int n, int k, GemmVariant variant,
                                    runtime::OptLevel opt,
                                    std::uint32_t n_tasklets, int rows_per_dpu,
                                    const map::Limits& limits,
-                                   std::uint32_t max_split) {
+                                   std::uint32_t max_split,
+                                   const runtime::UpmemConfig& sys) {
   require(m >= 1, "GEMM needs at least one row");
   map::require_gemm_shape(n, k);
   if (rows_per_dpu != map::kAutoRows) {
@@ -221,8 +388,8 @@ map::MappingPlan plan_gemm_mapping(int m, int n, int k, GemmVariant variant,
   req.n = n;
   req.k = k;
   req.limits = limits;
-  req.kernel_cycles = [n, k, variant, opt](int rows, std::uint32_t t) {
-    return estimate_gemm_row_cycles(n, k, variant, t, opt, rows);
+  req.kernel_cycles = [n, k, variant, opt, sys](int rows, std::uint32_t t) {
+    return estimate_gemm_row_cycles(n, k, variant, t, opt, rows, sys);
   };
   req.bcast_bytes_per_dpu =
       sizeof(Meta) + align_up(static_cast<MemSize>(k) * n * 2, kXferAlign);
@@ -244,7 +411,7 @@ GemmResult dpu_gemm_pooled(runtime::DpuPool& pool, int m, int n, int k,
                            std::uint64_t weights_version) {
   const map::MappingPlan plan =
       plan_gemm_mapping(m, n, k, variant, opt, n_tasklets, rows_per_dpu,
-                        map::pool_limits(pool));
+                        map::pool_limits(pool), 1, pool.config());
   return dpu_gemm_planned(pool, nullptr, m, n, k, alpha, a, b, variant, plan,
                           opt, weights_tag, weights_version);
 }
@@ -406,82 +573,28 @@ GemmResult dpu_gemm(int m, int n, int k, std::int16_t alpha,
 
 Cycles estimate_gemm_row_cycles(int n, int k, GemmVariant variant,
                                 std::uint32_t n_tasklets,
-                                runtime::OptLevel opt, int rows_per_dpu) {
+                                runtime::OptLevel opt, int rows_per_dpu,
+                                const runtime::UpmemConfig& sys) {
   map::require_gemm_shape(n, k);
   map::require_positive_rows(rows_per_dpu);
   map::require_gemm_tasklets(n_tasklets);
   const CostModel cost(opt);
+  // Every tasklet also pays one barrier statement per phase boundary.
+  const std::uint64_t barrier_slots =
+      (gemm_phases(variant) - 1) *
+      static_cast<std::uint64_t>(cost.barrier_stmt());
 
-  struct T {
-    std::uint64_t slots = 0;
-    Cycles dma = 0;
-  };
-  std::vector<T> t(n_tasklets);
-  for (auto& ts : t) {
-    ts.slots += 5 * cost.alu_stmt(); // meta loads
+  std::vector<sim::TaskletStats> tasklets(n_tasklets);
+  for (std::uint32_t t = 0; t < n_tasklets; ++t) {
+    const GemmCharges c =
+        gemm_charges(n, k, variant, rows_per_dpu, t, n_tasklets);
+    sim::TaskletStats& ts = tasklets[t];
+    ts.slots = c.alu * cost.alu_stmt() + c.loops * cost.loop_iter() +
+               c.mul16 * cost.mul_stmt(16) + c.mul32 * cost.mul_stmt(32) +
+               barrier_slots;
+    ts.dma_cycles = c.dma;
   }
-
-  if (variant == GemmVariant::WramTiled) {
-    // Tasklet 0 stages each A row in <=2048-byte DMAs.
-    for (int r = 0; r < rows_per_dpu; ++r) {
-      const MemSize row_bytes = static_cast<MemSize>(k) * 2;
-      MemSize off = 0;
-      while (off < row_bytes) {
-        const MemSize chunk = std::min<MemSize>(kDmaMax, row_bytes - off);
-        t[0].dma += CostModel::dma_cycles(chunk);
-        t[0].slots += cost.loop_iter();
-        off += chunk;
-      }
-    }
-    // Every tasklet then waits on the staging barrier.
-    for (auto& ts : t) {
-      ts.slots += cost.barrier_stmt();
-    }
-  }
-
-  const int n_strips = (n + kGemmStrip - 1) / kGemmStrip;
-  for (int r = 0; r < rows_per_dpu; ++r) {
-    for (auto& ts : t) {
-      ts.slots += cost.loop_iter(); // row loop
-    }
-    for (int strip = 0; strip < n_strips; ++strip) {
-      T& ts = t[static_cast<std::uint32_t>(strip) % n_tasklets];
-      const int cols = std::min(kGemmStrip, n - strip * kGemmStrip);
-      const auto ucols = static_cast<std::uint64_t>(cols);
-
-      // Zero (plus the resident variant's initial flush to MRAM).
-      ts.slots += ucols * (cost.loop_iter() + cost.alu_stmt());
-      if (variant == GemmVariant::MramResident) {
-        ts.dma += CostModel::dma_cycles(ucols * 4);
-      }
-      // k iterations.
-      const std::uint64_t per_kk =
-          cost.loop_iter() +
-          (variant == GemmVariant::WramTiled ? cost.alu_stmt() : 0) +
-          cost.mul_stmt(16) +
-          ucols * (cost.loop_iter() + cost.mul_stmt(32) + 4 * cost.alu_stmt());
-      ts.slots += static_cast<std::uint64_t>(k) * per_kk;
-      Cycles per_kk_dma = CostModel::dma_cycles(ucols * 2);
-      if (variant == GemmVariant::MramResident) {
-        per_kk_dma += CostModel::dma_cycles(8)               // A element
-                      + 2 * CostModel::dma_cycles(ucols * 4); // ctmp RMW
-      }
-      ts.dma += static_cast<Cycles>(k) * per_kk_dma;
-      // Output stage.
-      ts.slots += ucols * (cost.loop_iter() + 4 * cost.alu_stmt());
-      ts.dma += CostModel::dma_cycles(ucols * 2);
-    }
-  }
-
-  std::uint64_t sum_slots = 0;
-  Cycles sum_dma = 0;
-  Cycles latency = 0;
-  for (const T& ts : t) {
-    sum_slots += ts.slots;
-    sum_dma += ts.dma;
-    latency = std::max(latency, static_cast<Cycles>(ts.slots) * 11 + ts.dma);
-  }
-  return std::max({static_cast<Cycles>(sum_slots), sum_dma, latency});
+  return sim::wall_cycles(tasklets, sys);
 }
 
 } // namespace pimdnn::yolo

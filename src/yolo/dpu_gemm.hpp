@@ -19,10 +19,16 @@
 // the dominant cost and the reason a 416x416 YOLOv3 inference takes on the
 // order of a minute on the real hardware (§4.3.1).
 //
-// `estimate_gemm_row_cycles` computes the exact cycle count of one DPU's
-// row analytically (it mirrors the kernel's charges one-for-one; a test
-// asserts equality), enabling full-size per-layer latency reports without
-// functionally simulating 32 GMACs.
+// The kernel's cost is written once, as one per-tasklet record of its
+// charges (ALU statements, loop iterations, 16- and 32-bit multiplies,
+// DMA cycles). The interpreted kernel is the per-operation reference.
+// WramTiled's fast twin (SimMode::Fast) issues the same DMAs, applies the
+// record's counts in bulk and computes with native arithmetic: it sums
+// the int16 products and scales by ALPHA once per strip, exact modulo
+// 2^32 (MramResident, on no hot path, interprets in both modes).
+// `estimate_gemm_row_cycles` prices the same record, so it equals the
+// simulated wall (tests assert it in both modes) and full-size per-layer
+// latency reports need no simulated GMACs.
 //
 // Host side, the GEMM is one start/finish pair on runtime::run_jobs:
 // start broadcasts the metadata and B, scatters the A rows (skipped on
@@ -111,13 +117,14 @@ GemmResult dpu_gemm_pooled(runtime::DpuPool& pool, int m, int n, int k,
 /// additionally lets the search (or a PIMDNN_MAPPING `split=` override)
 /// carve the GEMM into dual-bank sub-launches priced on the overlapped
 /// two-bank timeline — only callers that execute through both banks of
-/// `dpu_gemm_planned` pass it.
-map::MappingPlan plan_gemm_mapping(int m, int n, int k, GemmVariant variant,
-                                   runtime::OptLevel opt,
-                                   std::uint32_t n_tasklets = map::kAutoTasklets,
-                                   int rows_per_dpu = map::kAutoRows,
-                                   const map::Limits& limits = {},
-                                   std::uint32_t max_split = 1);
+/// `dpu_gemm_planned` pass it. Kernel walls are priced on `sys`, the
+/// configuration of the DPUs that will run the plan.
+map::MappingPlan plan_gemm_mapping(
+    int m, int n, int k, GemmVariant variant, runtime::OptLevel opt,
+    std::uint32_t n_tasklets = map::kAutoTasklets,
+    int rows_per_dpu = map::kAutoRows, const map::Limits& limits = {},
+    std::uint32_t max_split = 1,
+    const runtime::UpmemConfig& sys = sim::default_config());
 
 /// Executes a pre-resolved mapping through runtime::run_jobs: the GEMM's
 /// DPU groups run as `plan.split` contiguous chunks (runtime::split_ranges),
@@ -158,11 +165,13 @@ GemmResult dpu_gemm(int m, int n, int k, std::int16_t alpha,
                     int rows_per_dpu = map::kAutoRows);
 
 /// Exact analytic cycle count for one DPU computing `rows_per_dpu`
-/// N-column rows with the given variant/tasklets/opt — mirrors the
-/// kernel's cost charges one-for-one (tests assert equality).
-pimdnn::Cycles estimate_gemm_row_cycles(int n, int k, GemmVariant variant,
-                                        std::uint32_t n_tasklets,
-                                        runtime::OptLevel opt,
-                                        int rows_per_dpu = 1);
+/// N-column rows with the given variant/tasklets/opt: prices each
+/// tasklet's charge record (the one the fast twin applies) plus the
+/// launch's barrier statements with sim::wall_cycles on `sys`, so it
+/// equals the simulated DpuRunStats::cycles (tests assert equality).
+pimdnn::Cycles estimate_gemm_row_cycles(
+    int n, int k, GemmVariant variant, std::uint32_t n_tasklets,
+    runtime::OptLevel opt, int rows_per_dpu = 1,
+    const runtime::UpmemConfig& sys = sim::default_config());
 
 } // namespace pimdnn::yolo

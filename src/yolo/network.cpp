@@ -186,7 +186,8 @@ std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
                              d.size, d.stride, d.pad};
         plans[i] = plan_gemm_mapping(g.gemm_m(), g.gemm_n(), g.gemm_k(),
                                      variant, opts.opt, opts.n_tasklets,
-                                     opts.rows_per_dpu, limits, max_split);
+                                     opts.rows_per_dpu, limits, max_split,
+                                     sys_);
         cd = {d.filters, g.out_h(), g.out_w()};
         break;
       }
@@ -428,7 +429,8 @@ YoloRunResult YoloRunner::run_frame(
             split ? (*plans)[i]
                   : plan_gemm_mapping(m, n, k, variant, opts.opt,
                                       opts.n_tasklets, opts.rows_per_dpu,
-                                      map::pool_limits(pool));
+                                      map::pool_limits(pool), 1,
+                                      pool.config());
         GemmResult r = dpu_gemm_planned(
             pool, split ? &banks_.pool(1 - bank) : nullptr, m, n, k,
             cw.alpha, cw.w, scratch.cols, variant, plan, opts.opt,
@@ -568,7 +570,8 @@ std::vector<LayerStats> YoloRunner::estimate(
         ls.dpus = static_cast<std::uint32_t>(
             (g.gemm_m() + rows_per_dpu - 1) / rows_per_dpu);
         ls.cycles = estimate_gemm_row_cycles(g.gemm_n(), g.gemm_k(), variant,
-                                             n_tasklets, opt, rows_per_dpu);
+                                             n_tasklets, opt, rows_per_dpu,
+                                             sys);
         cd = {d.filters, g.out_h(), g.out_w()};
         break;
       }

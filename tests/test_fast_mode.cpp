@@ -1,8 +1,9 @@
 // Fast-path execution mode tests: SimMode parsing/plumbing, the dual-run
 // fast/interp equivalence contract (bit-exact memory, cycle-exact stats,
-// identical subroutine profiles) on the eBNN kernels, end-to-end parity
-// through EbnnHost / DeepEbnnHost including fixed-seed fault injection and
-// the double-buffered pipeline, the barrier-phase rules (phased programs
+// identical subroutine profiles) on the eBNN kernels and the YOLO GEMM,
+// end-to-end parity through EbnnHost / DeepEbnnHost / YoloRunner including
+// fixed-seed fault injection, split plans and the double-buffered
+// pipeline, the barrier-phase rules (phased programs
 // take their twin, tasklet order follows the mode, no launch creates a
 // thread), plus regression tests for two interpreter fixes: integer-wrap
 // bounds bypass in host_write/host_read, and non-atomic Dpu::load (a failed
@@ -16,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/sim_mode.hpp"
 #include "ebnn/deep.hpp"
 #include "ebnn/dpu_kernel.hpp"
@@ -24,6 +27,9 @@
 #include "ebnn/lut.hpp"
 #include "ebnn/mnist_synth.hpp"
 #include "ebnn/model.hpp"
+#include "map/constraints.hpp"
+#include "map/plan.hpp"
+#include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
@@ -31,6 +37,10 @@
 #include "runtime/kernel_session.hpp"
 #include "sim/dpu.hpp"
 #include "sim/fault.hpp"
+#include "yolo/config.hpp"
+#include "yolo/detect.hpp"
+#include "yolo/dpu_gemm.hpp"
+#include "yolo/network.hpp"
 
 namespace pimdnn {
 namespace {
@@ -51,6 +61,7 @@ using sim::FaultConfig;
 using sim::MemKind;
 using sim::Subroutine;
 using sim::TaskletCtx;
+using yolo::GemmVariant;
 
 /// The default mode and the fault plan are process-global: pin both to a
 /// known state around every test so order does not matter.
@@ -466,6 +477,123 @@ TEST_F(FastModeTest, EbnnDualRunBitAndCycleExactAtO0) {
                    OptLevel::O0);
 }
 
+// ---- the dual-run equivalence contract on the YOLO GEMM ------------------
+
+// Mirrors the GEMM kernel's WRAM metadata block (dpu_gemm.cpp).
+struct GemmMeta {
+  std::uint64_t n, k;
+  std::int64_t alpha;
+  std::uint64_t variant, rows;
+};
+
+/// One raw-DPU GEMM run of `rows` rows: uploads the metadata, the A rows
+/// at their padded stride and B the way dpu_gemm_planned does, launches
+/// under `mode`, and captures every symbol's bytes afterwards (the WRAM
+/// scratch strips included).
+RunCapture run_gemm_once(int n, int k, int rows, std::int16_t alpha,
+                         GemmVariant variant,
+                         const std::vector<std::int16_t>& a,
+                         const std::vector<std::int16_t>& b,
+                         std::uint32_t n_tasklets, OptLevel opt,
+                         SimMode mode) {
+  const sim::DpuProgram prog = yolo::make_gemm_program(n, k, variant, rows);
+  Dpu dpu;
+  dpu.load(prog);
+  const GemmMeta meta{static_cast<std::uint64_t>(n),
+                      static_cast<std::uint64_t>(k), alpha,
+                      static_cast<std::uint64_t>(variant),
+                      static_cast<std::uint64_t>(rows)};
+  dpu.host_write("meta", 0, &meta, sizeof(meta));
+  const MemSize a_stride = map::gemm_a_stride_bytes(k);
+  for (int r = 0; r < rows; ++r) {
+    dpu.host_write("a_rows", r * a_stride,
+                   a.data() + static_cast<std::size_t>(r) * k,
+                   static_cast<MemSize>(k) * 2);
+  }
+  dpu.host_write("b_mat", 0, b.data(), b.size() * 2);
+
+  RunCapture out;
+  out.stats = dpu.launch(n_tasklets, opt, mode);
+  for (const sim::SymbolDecl& d : prog.symbols) {
+    std::vector<std::uint8_t> bytes(d.size);
+    dpu.host_read(d.name, 0, bytes.data(), bytes.size());
+    out.mem.emplace(d.name, std::move(bytes));
+  }
+  return out;
+}
+
+TEST_F(FastModeTest, GemmDualRunBitAndCycleExact) {
+  // Partial last strips (n = 40, 300, 513: 1, 2 and 3 strips of
+  // kGemmStrip columns, so 5 to 16 tasklets leave some idle and n = 40
+  // has no full strip), A rows staged in two DMAs (k = 1100: 2200 bytes),
+  // 1 and 3 rows per DPU, and a negative alpha on extreme operands whose
+  // uint32 sums wrap.
+  const int k = 1100;
+  const std::int16_t alpha = -21845;
+  const int max_rows = 3;
+  const int max_n = 513;
+  Rng rng(2718);
+  const auto operand = [&] {
+    static constexpr std::int16_t kEdges[] = {32767, -32767, -32768};
+    const auto pick = rng.uniform_int(0, 5);
+    return pick < 3 ? kEdges[pick]
+                    : static_cast<std::int16_t>(
+                          rng.uniform_int(-32768, 32767));
+  };
+  std::vector<std::int16_t> a(static_cast<std::size_t>(max_rows) * k);
+  std::vector<std::int16_t> b_all(static_cast<std::size_t>(k) * max_n);
+  for (auto& v : a) v = operand();
+  for (auto& v : b_all) v = operand();
+
+  for (const int n : {40, 300, max_n}) {
+    // B is k x n row-major: the first n columns of every row of b_all.
+    std::vector<std::int16_t> b(static_cast<std::size_t>(k) * n);
+    for (int kk = 0; kk < k; ++kk) {
+      std::memcpy(b.data() + static_cast<std::size_t>(kk) * n,
+                  b_all.data() + static_cast<std::size_t>(kk) * max_n,
+                  static_cast<std::size_t>(n) * 2);
+    }
+    for (const int rows : {1, max_rows}) {
+      std::vector<std::int16_t> expect(static_cast<std::size_t>(rows) * n);
+      nn::gemm_q16_reference(rows, n, k, alpha, a, b, expect);
+      const MemSize c_stride =
+          align_up(static_cast<MemSize>(n) * 2, kXferAlign);
+      for (const auto variant :
+           {GemmVariant::WramTiled, GemmVariant::MramResident}) {
+        for (const auto opt : {OptLevel::O0, OptLevel::O3}) {
+          for (const std::uint32_t t : {1u, 5u, 11u, 16u}) {
+            SCOPED_TRACE(
+                "n=" + std::to_string(n) + " rows=" + std::to_string(rows) +
+                " variant=" + std::to_string(static_cast<int>(variant)) +
+                " O" + std::to_string(static_cast<int>(opt)) +
+                " tasklets=" + std::to_string(t));
+            const RunCapture interp = run_gemm_once(
+                n, k, rows, alpha, variant, a, b, t, opt, SimMode::Interp);
+            const RunCapture fast = run_gemm_once(
+                n, k, rows, alpha, variant, a, b, t, opt, SimMode::Fast);
+            EXPECT_FALSE(interp.stats.fast_path);
+            EXPECT_TRUE(fast.stats.fast_path);
+            expect_stats_equal(interp.stats, fast.stats);
+            for (const auto& [name, bytes] : interp.mem) {
+              EXPECT_TRUE(bytes == fast.mem.at(name)) << "symbol " << name;
+            }
+            // Both executors also agree with the golden model.
+            const std::vector<std::uint8_t>& c = fast.mem.at("c_rows");
+            for (int r = 0; r < rows; ++r) {
+              EXPECT_EQ(std::memcmp(c.data() + r * c_stride,
+                                    expect.data() +
+                                        static_cast<std::size_t>(r) * n,
+                                    static_cast<std::size_t>(n) * 2),
+                        0)
+                  << "row " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- end-to-end parity through the host applications ---------------------
 
 TEST_F(FastModeTest, EbnnHostEndToEndParity) {
@@ -527,6 +655,78 @@ TEST_F(FastModeTest, DeepEbnnEndToEndParity) {
     EXPECT_TRUE(rf.launch.per_dpu[d].fast_path);
     expect_stats_equal(ri.launch.per_dpu[d], rf.launch.per_dpu[d]);
   }
+}
+
+TEST_F(FastModeTest, YoloEndToEndParity) {
+  // YOLOv3-lite at 64x64 through run and run_pipelined, once on a split
+  // plan and once under a fixed-seed fault plan: the GEMM twin must give
+  // the interpreter's outputs, per-layer cycles and health counters.
+  const auto defs = yolo::yolov3_lite_config(1, 1);
+  const auto w = yolo::YoloWeights::random(defs, 3, 77);
+  const std::vector<std::vector<std::int16_t>> frames = {
+      yolo::make_synthetic_image(3, 64, 64, 5, 100),
+      yolo::make_synthetic_image(3, 64, 64, 5, 101)};
+  yolo::RunOptions opts;
+  opts.mode = yolo::ExecMode::DpuWram;
+
+  struct Capture {
+    std::vector<std::vector<std::vector<std::int16_t>>> outputs;
+    std::vector<std::vector<Cycles>> layer_cycles;
+    std::map<std::string, std::uint64_t> health;
+  };
+  const auto run_mode = [&](SimMode mode, const char* mapping,
+                            const char* faults) {
+    obs::Metrics::instance().reset();
+    sim::set_fault_config(faults != nullptr ? sim::parse_fault_config(faults)
+                                            : FaultConfig{});
+    set_default_sim_mode(mode);
+    map::ScopedMappingOverride pin(mapping);
+    yolo::YoloRunner runner(defs, w, 3, 64, 64);
+    std::vector<yolo::YoloRunResult> results;
+    results.push_back(runner.run(frames[0], opts));
+    for (yolo::YoloRunResult& f : runner.run_pipelined(frames, opts).frames) {
+      results.push_back(std::move(f));
+    }
+    Capture c;
+    for (const yolo::YoloRunResult& r : results) {
+      c.outputs.push_back(r.outputs);
+      std::vector<Cycles> cycles;
+      for (const yolo::LayerStats& l : r.layers) {
+        cycles.push_back(l.cycles);
+      }
+      c.layer_cycles.push_back(std::move(cycles));
+    }
+    for (const char* name :
+         {"faults.injected", "offload.retry", "offload.fallback",
+          "pool.quarantined", "scrub.repaired", "health.reintegrated",
+          "breaker.open"}) {
+      c.health[name] = obs::Metrics::instance().counter(name);
+    }
+    const std::uint64_t fast_launches =
+        obs::Metrics::instance().counter("sim.fast_launches");
+    if (mode == SimMode::Fast) {
+      EXPECT_GT(fast_launches, 0u);
+    } else {
+      EXPECT_EQ(fast_launches, 0u);
+    }
+    sim::set_fault_config(FaultConfig{});
+    return c;
+  };
+
+  for (const auto& [mapping, faults] :
+       {std::pair<const char*, const char*>{"split=2", nullptr},
+        {"auto", "seed=42,launch=0.05,xfer=0.01,mram=0.01"}}) {
+    SCOPED_TRACE(std::string(mapping) + " " + (faults ? faults : "clean"));
+    const Capture interp = run_mode(SimMode::Interp, mapping, faults);
+    const Capture fast = run_mode(SimMode::Fast, mapping, faults);
+    EXPECT_EQ(interp.outputs, fast.outputs);
+    EXPECT_EQ(interp.layer_cycles, fast.layer_cycles);
+    EXPECT_EQ(interp.health, fast.health);
+    if (faults != nullptr) {
+      EXPECT_GT(fast.health.at("faults.injected"), 0u);
+    }
+  }
+  obs::Metrics::instance().reset();
 }
 
 // ---- fixed-seed fault injection must behave identically in both modes ----

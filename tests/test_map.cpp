@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -21,6 +22,7 @@
 #include "map/mapper.hpp"
 #include "map/plan.hpp"
 #include "map/space.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/banked_executor.hpp"
 #include "yolo/config.hpp"
 #include "yolo/detect.hpp"
@@ -63,6 +65,19 @@ TEST(MappingOverride, RejectsMalformedText) {
                            "images=x", "rows=1,bogus=2", "rows"}) {
     EXPECT_THROW(map::MappingOverride::parse(text), ConfigError) << text;
   }
+  // Values past the field's type, or past 2^64 - 1, must not wrap or
+  // truncate into a legal value; the diagnostic names the token.
+  for (const char* text :
+       {"rows=4294967297", "rows=2147483648", "tasklets=4294967312",
+        "rows=18446744073709551617", "images=4294967296"}) {
+    try {
+      map::MappingOverride::parse(text);
+      FAIL() << "accepted '" << text << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+          << text << " -> " << e.what();
+    }
+  }
 }
 
 TEST(MappingOverride, ParsesAndRoundTripsSplit) {
@@ -83,7 +98,7 @@ TEST(MappingOverride, ParsesAndRoundTripsSplit) {
 
 TEST(MappingOverride, RejectsMalformedSplitNamingTheToken) {
   for (const char* text : {"split=", "split=0", "split=3", "split=abc",
-                           "split=6", "rows=2,split=0"}) {
+                           "split=6", "rows=2,split=0", "split=4294967296"}) {
     try {
       map::MappingOverride::parse(text);
       FAIL() << "accepted '" << text << "'";
@@ -578,6 +593,70 @@ TEST_P(BothSimModes, GemmEstimatorEqualsSimulatedWall) {
                                                t, OptLevel::O3, rows))
           << "rows=" << rows << " t=" << t;
     }
+  }
+}
+
+TEST_P(BothSimModes, EstimatorsFollowPipelineStages) {
+  // With 14 pipeline stages and 1-2 tasklets the per-tasklet latency bound
+  // (S * slots + DMA) sets the wall, so every estimator must price the
+  // launch with the DPU's own stage count, not the default 11. The runs
+  // themselves plan through the same estimators on their config: the
+  // mapper's predicted kernel wall, which the drift gauge compares with
+  // the simulated one, must match it exactly.
+  sim::UpmemConfig sys = sim::default_config();
+  sys.pipeline_stages = 14;
+  auto& metrics = obs::Metrics::instance();
+  metrics.reset();
+  const auto expect_no_drift = [&metrics](const std::string& what) {
+    const auto drift = metrics.histogram("obs.drift.kernel_pct");
+    EXPECT_GT(drift.count(), 0u) << what;
+    EXPECT_EQ(drift.max(), 0.0) << what;
+    metrics.reset();
+  };
+
+  const int m = 2, n = 300, k = 64;
+  Rng rng(17);
+  std::vector<std::int16_t> a(static_cast<std::size_t>(m) * k);
+  std::vector<std::int16_t> b(static_cast<std::size_t>(k) * n);
+  for (auto& v : a) v = static_cast<std::int16_t>(rng.uniform_int(-40, 40));
+  for (auto& v : b) v = static_cast<std::int16_t>(rng.uniform_int(-40, 40));
+  for (const auto variant :
+       {GemmVariant::WramTiled, GemmVariant::MramResident}) {
+    for (const std::uint32_t t : {1u, 2u}) {
+      const auto r = yolo::dpu_gemm(m, n, k, 1, a, b, variant, t,
+                                    OptLevel::O3, sys, 1);
+      const std::string what =
+          "variant=" + std::to_string(static_cast<int>(variant)) +
+          " t=" + std::to_string(t);
+      EXPECT_EQ(r.stats.wall_cycles,
+                yolo::estimate_gemm_row_cycles(n, k, variant, t,
+                                               OptLevel::O3, 1, sys))
+          << what;
+      expect_no_drift(what);
+    }
+  }
+
+  const ebnn::EbnnConfig cfg;
+  const auto w = ebnn::EbnnWeights::random(cfg, 42);
+  ebnn::DeepEbnnConfig deep_cfg;
+  deep_cfg.blocks = {{8}, {12}};
+  const auto deep_w = ebnn::DeepEbnnWeights::random(deep_cfg, 11);
+  const auto images = ebnn::images_only(ebnn::make_synthetic_mnist(2, 7));
+  for (const std::uint32_t t : {1u, 2u}) {
+    ebnn::EbnnHost host(cfg, w, ebnn::BnMode::HostLut, sys,
+                        ebnn::ConvKernel::PackedRows);
+    EXPECT_EQ(host.run(images, t).launch.wall_cycles,
+              ebnn::estimate_ebnn_wall_cycles(
+                  cfg, ebnn::BnMode::HostLut, ebnn::ConvKernel::PackedRows,
+                  2, t, OptLevel::O3, sys))
+        << "eBNN t=" << t;
+    expect_no_drift("eBNN t=" + std::to_string(t));
+    ebnn::DeepEbnnHost deep(deep_cfg, deep_w, sys);
+    EXPECT_EQ(deep.run(images, t).launch.wall_cycles,
+              ebnn::estimate_deep_ebnn_wall_cycles(deep_cfg, 2, t,
+                                                   OptLevel::O3, sys))
+        << "deep eBNN t=" << t;
+    expect_no_drift("deep eBNN t=" + std::to_string(t));
   }
 }
 

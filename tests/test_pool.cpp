@@ -104,9 +104,9 @@ TEST(GemmBarrier, WramTiledIndependentOfTaskletOrder) {
     EXPECT_EQ(interp.profile.occurrences(sub), fast.profile.occurrences(sub))
         << sim::subroutine_name(sub);
   }
-  // The GEMM has no fast twin: both launches interpreted.
+  // Interp interprets; fast takes the GEMM's twin.
   EXPECT_FALSE(interp.fast_path);
-  EXPECT_FALSE(fast.fast_path);
+  EXPECT_TRUE(fast.fast_path);
 }
 
 TEST(GemmBarrier, LoadRejectsZeroPhases) {
