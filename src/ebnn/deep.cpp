@@ -7,9 +7,9 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "ebnn/charges.hpp"
 #include "nn/bitpack.hpp"
 #include "nn/layers.hpp"
-#include "sim/cost_model.hpp"
 
 namespace pimdnn::ebnn {
 
@@ -102,7 +102,11 @@ DeepEbnnWeights DeepEbnnWeights::random(const DeepEbnnConfig& cfg,
 
 DeepEbnnReference::DeepEbnnReference(const DeepEbnnConfig& cfg,
                                      const DeepEbnnWeights& w)
-    : cfg_(cfg), w_(w), dims_(deep_dims(cfg)) {
+    : cfg_(cfg),
+      w_(w),
+      dims_(deep_dims(cfg)),
+      fc_(w.fc, static_cast<std::size_t>(cfg.classes),
+          static_cast<std::size_t>(deep_feature_bits(cfg))) {
   require(w.conv.size() == cfg.blocks.size() &&
               w.bn.size() == cfg.blocks.size(),
           "deep eBNN weights/config mismatch");
@@ -187,16 +191,8 @@ DeepEbnnActivations DeepEbnnReference::infer(
 void DeepEbnnReference::infer_tail(const std::vector<int>& feature,
                                    std::vector<float>& probs,
                                    int& predicted) const {
-  std::vector<float> logits(static_cast<std::size_t>(cfg_.classes), 0.0f);
-  const std::size_t nfeat = feature.size();
-  for (int c = 0; c < cfg_.classes; ++c) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < nfeat; ++i) {
-      acc += w_.fc[static_cast<std::size_t>(c) * nfeat + i] *
-             (feature[i] != 0 ? 1.0f : -1.0f);
-    }
-    logits[static_cast<std::size_t>(c)] = acc;
-  }
+  std::vector<float> logits(fc_.classes());
+  fc_.logits(feature, logits);
   probs.assign(logits.size(), 0.0f);
   nn::softmax(logits, probs);
   predicted = static_cast<int>(nn::argmax(probs));
@@ -360,20 +356,62 @@ void deep_tasklet(TaskletCtx& ctx, const DeepKernelParams& p) {
   }
 }
 
+/// What `deep_tasklet` charges tasklet `t` of `n_tasklets` over a launch
+/// of `n_images` images (see deep_tasklet for the op-level breakdown). The
+/// twin applies this record and estimate_deep_ebnn_wall_cycles prices it.
+KernelCharges deep_charges(const DeepEbnnConfig& cfg,
+                           const std::vector<DeepBlockDims>& dims,
+                           std::uint64_t n_images, std::uint32_t t,
+                           std::uint32_t n_tasklets) {
+  const std::uint64_t k2 =
+      static_cast<std::uint64_t>(cfg.ksize) * cfg.ksize;
+  const auto img_bytes =
+      static_cast<std::uint64_t>(cfg.img_h) * cfg.img_w;
+  const DeepBlockDims& last = dims.back();
+  const auto bits = static_cast<std::uint64_t>(cfg.blocks.back().filters) *
+                    last.out_h * last.out_w;
+  const std::uint64_t feat_words =
+      align_up(nn::words_for_bits(static_cast<std::size_t>(bits)) *
+                   sizeof(std::uint32_t),
+               kXferAlign) /
+      sizeof(std::uint32_t);
+
+  // Binarize, zero and pack the feature words, then per block and filter
+  // the multi-channel conv and the pool + LUT BN-BinAct.
+  KernelCharges image;
+  image.alu = 3 * img_bytes + feat_words + 2 * bits;
+  image.loops = img_bytes + bits;
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    const DeepBlockDims& d = dims[b];
+    const auto filters = static_cast<std::uint64_t>(cfg.blocks[b].filters);
+    const auto cp = static_cast<std::uint64_t>(d.conv_h) * d.conv_w;
+    const auto op = static_cast<std::uint64_t>(d.out_h) * d.out_w;
+    const auto chans = static_cast<std::uint64_t>(d.in_c);
+    image.alu += filters * (cp * (chans * (3 * k2 + 7) + 1) + op * 12);
+    image.loops +=
+        filters * (cp * chans * (k2 + 1) + cp + d.conv_h + op + d.out_h) +
+        filters;
+    image.slots += 12 * filters * cp * chans; // popcount trees
+    image.mul32 += filters * op;              // LUT index __mulsi3
+  }
+  image.dma = sim::CostModel::dma_cycles(img_bytes) +
+              sim::CostModel::dma_cycles(feat_words * sizeof(std::uint32_t));
+  return strided_charges(image, n_images, t, n_tasklets);
+}
+
 /// Fast-path twin of `deep_tasklet` (SimMode::Fast): the same per-image
-/// block pipeline computed with native integer arithmetic, charging the
-/// interpreter's per-op costs in closed form. Derived op-for-op from
-/// `deep_tasklet`; the dual-run cross-check tests enforce equivalence.
+/// block pipeline computed with native integer arithmetic, with the
+/// kernel's charges applied once per tasklet from deep_charges. The
+/// dual-run cross-check tests enforce equivalence.
 void deep_tasklet_fast(TaskletCtx& ctx, const DeepKernelParams& p) {
   const DeepEbnnConfig& cfg = p.cfg;
   const int K = cfg.ksize;
-  const std::uint64_t k2 = static_cast<std::uint64_t>(K) * K;
   require(ctx.n_tasklets() <= p.capacity,
           "deep eBNN: tasklets exceed image slots");
 
-  auto meta = ctx.wram_span<std::uint64_t>("meta");
-  ctx.charge_alu(1);
-  const std::uint64_t n_images = meta[0];
+  const std::uint64_t n_images = ctx.wram_span<std::uint64_t>("meta")[0];
+  apply_counts(ctx, deep_charges(cfg, p.dims, n_images, ctx.id(),
+                                 ctx.n_tasklets()));
 
   auto conv_w = ctx.wram_span<std::uint32_t>("conv_w");
   auto luts = ctx.wram_span<std::uint8_t>("luts");
@@ -395,27 +433,6 @@ void deep_tasklet_fast(TaskletCtx& ctx, const DeepKernelParams& p) {
   const DeepBlockDims& last = p.dims.back();
   const std::size_t bits = static_cast<std::size_t>(
       cfg.blocks.back().filters * last.out_h * last.out_w);
-
-  // Closed-form per-image charge, summed over the blocks (see deep_tasklet
-  // for the op-level breakdown).
-  std::uint64_t alu_per_image = 3 * img_bytes + feat_words + 2 * bits;
-  std::uint64_t loops_per_image = img_bytes + bits;
-  std::uint64_t popcounts_per_image = 0;
-  std::uint64_t muls_per_image = 0;
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    const DeepBlockDims& d = p.dims[b];
-    const std::uint64_t filters = cfg.blocks[b].filters;
-    const std::uint64_t cp =
-        static_cast<std::uint64_t>(d.conv_h) * d.conv_w;
-    const std::uint64_t op = static_cast<std::uint64_t>(d.out_h) * d.out_w;
-    const std::uint64_t chans = d.in_c;
-    alu_per_image += filters * (cp * (chans * (3 * k2 + 7) + 1) + op * 12);
-    loops_per_image +=
-        filters * (cp * chans * (k2 + 1) + cp + d.conv_h + op + d.out_h) +
-        filters;
-    popcounts_per_image += filters * cp * chans;
-    muls_per_image += filters * op;
-  }
 
   for (std::uint64_t im = ctx.id(); im < n_images;
        im += ctx.n_tasklets()) {
@@ -494,11 +511,6 @@ void deep_tasklet_fast(TaskletCtx& ctx, const DeepKernelParams& p) {
     }
     ctx.mram_write(results_base + im * p.result_stride, feat,
                    feat_words * sizeof(std::uint32_t));
-
-    ctx.charge_alu(alu_per_image);
-    ctx.charge_loop(loops_per_image);
-    ctx.charge_slots(12 * popcounts_per_image); // popcount trees
-    ctx.charge_mul(32, muls_per_image);         // LUT index __mulsi3
   }
 }
 
@@ -622,54 +634,9 @@ Cycles estimate_deep_ebnn_wall_cycles(const DeepEbnnConfig& cfg,
   require(n_tasklets >= 1,
           "estimate_deep_ebnn_wall_cycles: tasklets must be >= 1");
   const auto dims = deep_dims(cfg);
-  const sim::CostModel cost(opt);
-  const std::uint64_t k2 =
-      static_cast<std::uint64_t>(cfg.ksize) * cfg.ksize;
-  const auto img_bytes =
-      static_cast<std::uint64_t>(cfg.img_h) * cfg.img_w;
-  const auto& last = dims.back();
-  const auto bits = static_cast<std::uint64_t>(cfg.blocks.back().filters) *
-                    last.out_h * last.out_w;
-  const std::uint64_t feat_words =
-      align_up(nn::words_for_bits(static_cast<std::size_t>(bits)) *
-                   sizeof(std::uint32_t),
-               kXferAlign) /
-      sizeof(std::uint32_t);
-
-  // The same closed-form per-image charge the kernel applies (see
-  // deep_tasklet_fast; the interpreted kernel charges identically).
-  std::uint64_t alu_per_image = 3 * img_bytes + feat_words + 2 * bits;
-  std::uint64_t loops_per_image = img_bytes + bits;
-  std::uint64_t popcounts_per_image = 0;
-  std::uint64_t muls_per_image = 0;
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    const DeepBlockDims& d = dims[b];
-    const auto filters = static_cast<std::uint64_t>(cfg.blocks[b].filters);
-    const auto cp = static_cast<std::uint64_t>(d.conv_h) * d.conv_w;
-    const auto op = static_cast<std::uint64_t>(d.out_h) * d.out_w;
-    const auto chans = static_cast<std::uint64_t>(d.in_c);
-    alu_per_image += filters * (cp * (chans * (3 * k2 + 7) + 1) + op * 12);
-    loops_per_image +=
-        filters * (cp * chans * (k2 + 1) + cp + d.conv_h + op + d.out_h) +
-        filters;
-    popcounts_per_image += filters * cp * chans;
-    muls_per_image += filters * op;
-  }
-  const std::uint64_t slots_per_image =
-      alu_per_image * cost.alu_stmt() + loops_per_image * cost.loop_iter() +
-      12 * popcounts_per_image + muls_per_image * cost.mul_stmt(32);
-  const Cycles dma_per_image =
-      sim::CostModel::dma_cycles(img_bytes) +
-      sim::CostModel::dma_cycles(feat_words * sizeof(std::uint32_t));
-
-  std::vector<sim::TaskletStats> tasklets(n_tasklets);
-  for (std::uint32_t t = 0; t < n_tasklets; ++t) {
-    const std::uint64_t images =
-        n_images > t ? (n_images - 1 - t) / n_tasklets + 1 : 0;
-    tasklets[t].slots = cost.alu_stmt() + images * slots_per_image;
-    tasklets[t].dma_cycles = static_cast<Cycles>(images) * dma_per_image;
-  }
-  return sim::wall_cycles(tasklets, sys);
+  return priced_wall(n_tasklets, opt, sys, [&](std::uint32_t t) {
+    return deep_charges(cfg, dims, n_images, t, n_tasklets);
+  });
 }
 
 DeepEbnnHost::DeepEbnnHost(const DeepEbnnConfig& cfg,

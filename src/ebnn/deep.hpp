@@ -57,10 +57,10 @@ std::vector<DeepBlockDims> deep_dims(const DeepEbnnConfig& cfg);
 int deep_feature_bits(const DeepEbnnConfig& cfg);
 
 /// Exact analytic kernel wall of one DPU holding `n_images` images run
-/// with `n_tasklets` tasklets — mirrors the deep kernel's charges
-/// one-for-one and prices them with sim::wall_cycles on `sys` (the
-/// calibration tests assert equality with the simulated DpuRunStats in
-/// both sim modes). This is the kernel-cost callback `map::Mapper`
+/// with `n_tasklets` tasklets — prices the deep kernel's per-tasklet
+/// charge record (the one its fast twin applies) with sim::wall_cycles on
+/// `sys` (the calibration tests assert equality with the simulated
+/// DpuRunStats in both sim modes). This is the kernel-cost callback `map::Mapper`
 /// searches with.
 Cycles estimate_deep_ebnn_wall_cycles(
     const DeepEbnnConfig& cfg, std::uint32_t n_images,
@@ -94,6 +94,8 @@ struct DeepEbnnActivations {
 /// Reference (host) implementation of the deep network.
 class DeepEbnnReference {
 public:
+  /// Binds the model to a config and weights (borrowed; caller keeps them
+  /// alive). The FC weights are copied here.
   DeepEbnnReference(const DeepEbnnConfig& cfg, const DeepEbnnWeights& w);
 
   /// Full inference of one grayscale image.
@@ -108,6 +110,7 @@ private:
   const DeepEbnnConfig& cfg_;
   const DeepEbnnWeights& w_;
   std::vector<DeepBlockDims> dims_;
+  nn::SignFc fc_;
 };
 
 /// Result of a batched deep-eBNN DPU run (core::BatchStats + outputs).

@@ -1,12 +1,12 @@
 #include "ebnn/dpu_kernel.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "ebnn/charges.hpp"
 #include "nn/bitpack.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/softfloat.hpp"
 
 namespace pimdnn::ebnn {
@@ -239,12 +239,74 @@ void ebnn_tasklet(TaskletCtx& ctx, const KernelParams& p) {
   }
 }
 
-/// Fast-path twin of `ebnn_tasklet` (SimMode::Fast): identical memory
-/// effects computed with native integer ops — soft-float results stay in
-/// the soft-float bit domain, so the BN chain is bit-exact — and the
-/// interpreter's charges applied in closed form per image. Every charge
-/// below is derived op-for-op from the interpreted kernel; the dual-run
-/// cross-check tests enforce the equivalence.
+/// What `ebnn_tasklet` charges tasklet `t` of `n_tasklets` over a launch
+/// of `n_images` images (see ebnn_tasklet for the op-level breakdown). The
+/// twin applies this record and estimate_ebnn_wall_cycles prices it.
+KernelCharges ebnn_charges(const EbnnConfig& cfg, BnMode mode,
+                           ConvKernel kernel, std::uint64_t n_images,
+                           std::uint32_t t, std::uint32_t n_tasklets) {
+  const bool packed = kernel == ConvKernel::PackedRows;
+  const bool softfloat_bn = mode == BnMode::SoftFloat;
+  const auto img_bytes = static_cast<std::uint64_t>(cfg.img_h) * cfg.img_w;
+  const auto conv_px =
+      static_cast<std::uint64_t>(cfg.conv_h()) * cfg.conv_w();
+  const auto pool_px =
+      static_cast<std::uint64_t>(cfg.pool_h()) * cfg.pool_w();
+  const auto F = static_cast<std::uint64_t>(cfg.filters);
+  const auto taps = static_cast<std::uint64_t>(cfg.taps());
+  const std::uint64_t feat_words = F * ebnn_layout(cfg).words_per_filter;
+  const std::uint64_t conv_ops = F * conv_px;
+  const std::uint64_t pool_ops = F * pool_px;
+
+  KernelCharges image;
+  // Binarize, zero the feature words, per filter its tap word (and five
+  // BN loads), per conv pixel the gather, XNOR, dot and store, per pooled
+  // pixel the pool, the BN-BinAct and the bit pack.
+  image.alu = (packed ? 4 : 3) * img_bytes + feat_words +
+              F * (1 + (softfloat_bn ? 5 : 0)) +
+              conv_ops * (packed ? 19 : 3 * taps + 6) +
+              pool_ops * (10 + (softfloat_bn ? 7 : 3));
+  image.loops = img_bytes +
+                F * ((packed ? 0 : conv_px * taps) + conv_px +
+                     static_cast<std::uint64_t>(cfg.conv_h()) + pool_px +
+                     static_cast<std::uint64_t>(cfg.pool_h())) +
+                F;
+  image.slots = 12 * conv_ops; // popcount shift/mask trees
+  if (softfloat_bn) {
+    image.call(sim::Subroutine::FloatSISF, pool_ops);
+    image.call(sim::Subroutine::AddSF3, 2 * pool_ops);
+    image.call(sim::Subroutine::SubSF3, pool_ops);
+    image.call(sim::Subroutine::DivSF3, pool_ops);
+    image.call(sim::Subroutine::MulSF3, pool_ops);
+    image.call(sim::Subroutine::LtSF2, pool_ops);
+  } else {
+    image.mul32 = pool_ops; // the LUT index __mulsi3
+  }
+  image.dma = sim::CostModel::dma_cycles(img_bytes) +
+              sim::CostModel::dma_cycles(feat_words * sizeof(std::uint32_t));
+  return strided_charges(image, n_images, t, n_tasklets);
+}
+
+/// Bit count by shifts and masks, so that scoring a window calls no
+/// library routine on CPUs without a popcount instruction.
+constexpr int bit_count(std::uint32_t v) {
+  v -= (v >> 1) & 0x55555555u;
+  v = (v & 0x33333333u) + ((v >> 2) & 0x33333333u);
+  v = (v + (v >> 4)) & 0x0f0f0f0fu;
+  v += v >> 8;
+  v += v >> 16;
+  return static_cast<int>(v & 0x3fu);
+}
+
+/// Fast-path twin of `ebnn_tasklet` (SimMode::Fast): the same DMAs and the
+/// same bytes in every WRAM buffer, computed natively, with the kernel's
+/// charges applied once per tasklet from ebnn_charges. Each image's
+/// windows are gathered once for all filters; as a window holds only tap
+/// bits, XNOR(win, w) over the taps is win ^ (~w & tap_mask), counted by
+/// bit_count. Soft-float BN stays in the soft-float bit domain, so its
+/// chain is bit-exact. A nonzero kPool is cfg.pool known at compile time,
+/// so the paper's 2x2 pool unrolls.
+template <int kPool>
 void ebnn_tasklet_fast(TaskletCtx& ctx, const KernelParams& p) {
   namespace sf = sim::softfloat;
   const EbnnConfig& cfg = p.cfg;
@@ -256,6 +318,7 @@ void ebnn_tasklet_fast(TaskletCtx& ctx, const KernelParams& p) {
   const int PH = cfg.pool_h();
   const int PW = cfg.pool_w();
   const int F = cfg.filters;
+  const int P = kPool != 0 ? kPool : cfg.pool;
   const int taps = cfg.taps();
   const std::uint32_t tap_mask = (std::uint32_t{1} << taps) - 1;
   const bool packed = p.kernel == ConvKernel::PackedRows;
@@ -264,9 +327,10 @@ void ebnn_tasklet_fast(TaskletCtx& ctx, const KernelParams& p) {
   require(ctx.n_tasklets() <= p.layout.max_images,
           "eBNN program supports at most 16 tasklets (one per image slot)");
 
-  auto meta = ctx.wram_span<std::uint64_t>(symbols::kMeta);
-  ctx.charge_alu(1);
-  const std::uint64_t n_images = meta[0];
+  const std::uint64_t n_images =
+      ctx.wram_span<std::uint64_t>(symbols::kMeta)[0];
+  apply_counts(ctx, ebnn_charges(cfg, p.mode, p.kernel, n_images, ctx.id(),
+                                 ctx.n_tasklets()));
 
   auto conv_w = ctx.wram_span<std::uint32_t>(symbols::kConvWeights);
   auto img_all = ctx.wram_span<std::uint8_t>("img_buf");
@@ -292,78 +356,64 @@ void ebnn_tasklet_fast(TaskletCtx& ctx, const KernelParams& p) {
   std::uint8_t* img = img_all.data() + ctx.id() * img_bytes;
   std::int8_t* conv = conv_all.data() + ctx.id() * conv_px;
   std::uint32_t* feat = feat_all.data() + ctx.id() * feat_words;
+  std::uint32_t* prow =
+      packed ? prow_all.data() + ctx.id() * static_cast<std::size_t>(H)
+             : nullptr;
 
   const MemSize images_base = ctx.mram_addr(symbols::kImages);
   const MemSize results_base = ctx.mram_addr(symbols::kResults);
-
-  // Closed-form per-image charge, summed from the interpreted kernel's
-  // per-op costs (see ebnn_tasklet for the op-level breakdown).
-  const std::uint64_t conv_ops =
-      static_cast<std::uint64_t>(F) * conv_px;       // conv pixels per image
-  const std::uint64_t pool_ops = static_cast<std::uint64_t>(F) * PH * PW;
-  const std::uint64_t conv_pixel_alu =
-      packed ? 19 : 3 * static_cast<std::uint64_t>(taps) + 6;
-  const std::uint64_t pool_pixel_alu = 10 + (softfloat_bn ? 7 : 3);
-  const std::uint64_t alu_per_image =
-      (packed ? 4 : 3) * img_bytes + feat_words +
-      static_cast<std::uint64_t>(F) * (1 + (softfloat_bn ? 5 : 0)) +
-      conv_ops * conv_pixel_alu + pool_ops * pool_pixel_alu;
-  const std::uint64_t loops_per_image =
-      img_bytes +
-      static_cast<std::uint64_t>(F) *
-          ((packed ? 0 : conv_px * taps) + conv_px + CH +
-           static_cast<std::uint64_t>(PH) * PW + PH) +
-      F;
+  std::vector<std::uint32_t> wins(conv_px); // host-local, not WRAM
 
   for (std::uint64_t im = ctx.id(); im < n_images; im += ctx.n_tasklets()) {
     ctx.mram_read(img, images_base + im * p.layout.image_stride, img_bytes);
 
-    std::uint32_t* prow = nullptr;
+    // Binarize as the kernel does, then gather every window once: bit
+    // ky*K + kx of window (y, x) is pixel (y + ky, x + kx).
     if (packed) {
-      prow = prow_all.data() + ctx.id() * static_cast<std::size_t>(H);
       for (int y = 0; y < H; ++y) {
         std::uint32_t word = 0;
         for (int x = 0; x < W; ++x) {
-          if (img[static_cast<std::size_t>(y) * W + x] >=
-              cfg.binarize_threshold) {
-            word |= std::uint32_t{1} << x;
-          }
+          word |= static_cast<std::uint32_t>(
+                      img[static_cast<std::size_t>(y) * W + x] >=
+                      cfg.binarize_threshold)
+                  << x;
         }
         prow[y] = word;
+      }
+      for (int y = 0; y < CH; ++y) {
+        for (int x = 0; x < CW; ++x) {
+          wins[static_cast<std::size_t>(y) * CW + x] =
+              ((prow[y] >> x) & 7u) | (((prow[y + 1] >> x) & 7u) << 3) |
+              (((prow[y + 2] >> x) & 7u) << 6);
+        }
       }
     } else {
       for (std::size_t i = 0; i < img_bytes; ++i) {
         img[i] = img[i] >= cfg.binarize_threshold ? 1 : 0;
       }
-    }
-
-    for (std::uint32_t w = 0; w < feat_words; ++w) {
-      feat[w] = 0;
-    }
-
-    for (int f = 0; f < F; ++f) {
-      const std::uint32_t wf = conv_w[static_cast<std::size_t>(f)];
-
       for (int y = 0; y < CH; ++y) {
         for (int x = 0; x < CW; ++x) {
           std::uint32_t win = 0;
-          if (packed) {
-            win = ((prow[y] >> x) & 7u) | (((prow[y + 1] >> x) & 7u) << 3) |
-                  (((prow[y + 2] >> x) & 7u) << 6);
-          } else {
-            for (int ky = 0; ky < K; ++ky) {
-              for (int kx = 0; kx < K; ++kx) {
-                const std::uint32_t bit =
-                    img[static_cast<std::size_t>(y + ky) * W + (x + kx)];
-                win |= bit << (ky * K + kx);
-              }
+          for (int ky = 0; ky < K; ++ky) {
+            for (int kx = 0; kx < K; ++kx) {
+              win |= std::uint32_t{
+                         img[static_cast<std::size_t>(y + ky) * W + x + kx]}
+                     << (ky * K + kx);
             }
           }
-          const std::uint32_t xn = ~(win ^ wf) & tap_mask;
-          const std::int32_t dot = 2 * std::popcount(xn) - taps;
-          conv[static_cast<std::size_t>(y) * CW + x] =
-              static_cast<std::int8_t>(dot);
+          wins[static_cast<std::size_t>(y) * CW + x] = win;
         }
+      }
+    }
+
+    std::fill_n(feat, feat_words, 0u);
+    for (int f = 0; f < F; ++f) {
+      // --- Binary convolution into the conv buffer. ---
+      const std::uint32_t key =
+          ~conv_w[static_cast<std::size_t>(f)] & tap_mask;
+      for (std::size_t i = 0; i < conv_px; ++i) {
+        conv[i] =
+            static_cast<std::int8_t>(2 * bit_count(wins[i] ^ key) - taps);
       }
 
       std::uint32_t bn0 = 0;
@@ -379,21 +429,27 @@ void ebnn_tasklet_fast(TaskletCtx& ctx, const KernelParams& p) {
         bn3 = sf::to_bits(bn[3 * nf + static_cast<std::size_t>(f)]);
         bn4 = sf::to_bits(bn[4 * nf + static_cast<std::size_t>(f)]);
       }
+      // Filter f's LUT entry for value v is lut_f[v * F]: the kernel's
+      // index (v - lut_min) * F + f.
+      const std::uint8_t* lut_f =
+          softfloat_bn ? nullptr
+                       : lut.data() + (f - static_cast<std::ptrdiff_t>(
+                                               p.lut_min) * F);
+      std::uint32_t* feat_f = feat + static_cast<std::size_t>(f) * wpf;
 
+      // --- Max pool, BN-BinAct and bit packing. ---
       for (int py = 0; py < PH; ++py) {
         for (int px = 0; px < PW; ++px) {
-          int best = conv[static_cast<std::size_t>(py * cfg.pool) * CW +
-                          px * cfg.pool];
-          for (int dy = 0; dy < cfg.pool; ++dy) {
-            for (int dx = 0; dx < cfg.pool; ++dx) {
-              const int v =
-                  conv[static_cast<std::size_t>(py * cfg.pool + dy) * CW +
-                       px * cfg.pool + dx];
-              if (v > best) best = v;
+          const std::int8_t* win =
+              conv + static_cast<std::size_t>(py * P) * CW + px * P;
+          int best = win[0];
+          for (int dy = 0; dy < P; ++dy) {
+            for (int dx = 0; dx < P; ++dx) {
+              best = std::max(best, int{win[dy * CW + dx]});
             }
           }
 
-          int bit = 0;
+          std::uint32_t bit = 0;
           if (softfloat_bn) {
             // The interpreted BN-BinAct chain, kept in soft-float bits.
             std::uint32_t t = sf::from_i32(best);
@@ -404,36 +460,16 @@ void ebnn_tasklet_fast(TaskletCtx& ctx, const KernelParams& p) {
             t = sf::add(t, bn4);
             bit = sf::lt(t, sf::to_bits(0.0f)) ? 0 : 1;
           } else {
-            const std::int32_t idx = (best - p.lut_min) * F + f;
-            bit = lut[static_cast<std::size_t>(idx)];
+            bit = lut_f[static_cast<std::ptrdiff_t>(best) * F] != 0 ? 1 : 0;
           }
-
           const int pos = py * PW + px;
-          if (bit != 0) {
-            feat[static_cast<std::size_t>(f) * wpf +
-                 static_cast<std::size_t>(pos) / 32] |=
-                std::uint32_t{1} << (pos % 32);
-          }
+          feat_f[pos / 32] |= bit << (pos % 32);
         }
       }
     }
 
     ctx.mram_write(results_base + im * p.layout.result_stride, feat,
                    feat_words * sizeof(std::uint32_t));
-
-    ctx.charge_alu(alu_per_image);
-    ctx.charge_loop(loops_per_image);
-    ctx.charge_slots(12 * conv_ops); // popcount shift/mask trees
-    if (softfloat_bn) {
-      ctx.charge_subroutine(sim::Subroutine::FloatSISF, pool_ops);
-      ctx.charge_subroutine(sim::Subroutine::AddSF3, 2 * pool_ops);
-      ctx.charge_subroutine(sim::Subroutine::SubSF3, pool_ops);
-      ctx.charge_subroutine(sim::Subroutine::DivSF3, pool_ops);
-      ctx.charge_subroutine(sim::Subroutine::MulSF3, pool_ops);
-      ctx.charge_subroutine(sim::Subroutine::LtSF2, pool_ops);
-    } else {
-      ctx.charge_mul(32, pool_ops); // the LUT index __mulsi3
-    }
   }
 }
 
@@ -493,7 +529,11 @@ sim::DpuProgram make_ebnn_program(const EbnnConfig& cfg, BnMode mode,
   KernelParams params{cfg, mode, kernel, layout, cfg.conv_min()};
   prog.entry = [params](TaskletCtx& ctx) { ebnn_tasklet(ctx, params); };
   prog.fast_entry = [params](TaskletCtx& ctx) {
-    ebnn_tasklet_fast(ctx, params);
+    if (params.cfg.pool == 2) {
+      ebnn_tasklet_fast<2>(ctx, params);
+    } else {
+      ebnn_tasklet_fast<0>(ctx, params);
+    }
   };
   return prog;
 }
@@ -504,67 +544,9 @@ Cycles estimate_ebnn_wall_cycles(const EbnnConfig& cfg, BnMode mode,
                                  sim::OptLevel opt,
                                  const sim::UpmemConfig& sys) {
   require(n_tasklets >= 1, "estimate_ebnn_wall_cycles: tasklets must be >= 1");
-  const EbnnLayout layout = ebnn_layout(cfg);
-  const sim::CostModel cost(opt);
-  const bool packed = kernel == ConvKernel::PackedRows;
-  const bool softfloat_bn = mode == BnMode::SoftFloat;
-
-  // The same closed-form per-image charge the kernel applies (see
-  // ebnn_tasklet_fast; the interpreted kernel charges identically op by
-  // op).
-  const auto img_bytes =
-      static_cast<std::uint64_t>(cfg.img_h) * cfg.img_w;
-  const auto conv_px =
-      static_cast<std::uint64_t>(cfg.conv_h()) * cfg.conv_w();
-  const auto F = static_cast<std::uint64_t>(cfg.filters);
-  const std::uint64_t feat_words = F * layout.words_per_filter;
-  const std::uint64_t conv_ops = F * conv_px;
-  const std::uint64_t pool_ops =
-      F * static_cast<std::uint64_t>(cfg.pool_h()) * cfg.pool_w();
-  const auto taps = static_cast<std::uint64_t>(cfg.taps());
-  const std::uint64_t conv_pixel_alu = packed ? 19 : 3 * taps + 6;
-  const std::uint64_t pool_pixel_alu = 10 + (softfloat_bn ? 7 : 3);
-  const std::uint64_t alu_per_image =
-      (packed ? 4 : 3) * img_bytes + feat_words +
-      F * (1 + (softfloat_bn ? 5 : 0)) + conv_ops * conv_pixel_alu +
-      pool_ops * pool_pixel_alu;
-  const std::uint64_t loops_per_image =
-      img_bytes +
-      F * ((packed ? 0 : conv_px * taps) + conv_px +
-           static_cast<std::uint64_t>(cfg.conv_h()) +
-           static_cast<std::uint64_t>(cfg.pool_h()) * cfg.pool_w() +
-           static_cast<std::uint64_t>(cfg.pool_h())) +
-      F;
-
-  std::uint64_t slots_per_image =
-      alu_per_image * cost.alu_stmt() + loops_per_image * cost.loop_iter() +
-      12 * conv_ops; // popcount shift/mask trees
-  if (softfloat_bn) {
-    slots_per_image +=
-        pool_ops * (sim::CostModel::subroutine_slots(
-                        sim::Subroutine::FloatSISF) +
-                    2 * sim::CostModel::subroutine_slots(
-                            sim::Subroutine::AddSF3) +
-                    sim::CostModel::subroutine_slots(sim::Subroutine::SubSF3) +
-                    sim::CostModel::subroutine_slots(sim::Subroutine::DivSF3) +
-                    sim::CostModel::subroutine_slots(sim::Subroutine::MulSF3) +
-                    sim::CostModel::subroutine_slots(sim::Subroutine::LtSF2));
-  } else {
-    slots_per_image += pool_ops * cost.mul_stmt(32); // the LUT index mul
-  }
-  const Cycles dma_per_image =
-      sim::CostModel::dma_cycles(img_bytes) +
-      sim::CostModel::dma_cycles(feat_words * sizeof(std::uint32_t));
-
-  // Tasklet t runs images {t, t+T, ...}; every tasklet reads the metadata.
-  std::vector<sim::TaskletStats> tasklets(n_tasklets);
-  for (std::uint32_t t = 0; t < n_tasklets; ++t) {
-    const std::uint64_t images =
-        n_images > t ? (n_images - 1 - t) / n_tasklets + 1 : 0;
-    tasklets[t].slots = cost.alu_stmt() + images * slots_per_image;
-    tasklets[t].dma_cycles = static_cast<Cycles>(images) * dma_per_image;
-  }
-  return sim::wall_cycles(tasklets, sys);
+  return priced_wall(n_tasklets, opt, sys, [&](std::uint32_t t) {
+    return ebnn_charges(cfg, mode, kernel, n_images, t, n_tasklets);
+  });
 }
 
 } // namespace pimdnn::ebnn

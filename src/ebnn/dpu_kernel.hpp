@@ -72,10 +72,10 @@ sim::DpuProgram make_ebnn_program(const EbnnConfig& cfg, BnMode mode,
                                   ConvKernel kernel = ConvKernel::Scalar);
 
 /// Exact analytic kernel wall of one DPU holding `n_images` images run
-/// with `n_tasklets` tasklets: replicates the kernel's cost charges
-/// one-for-one and prices them with sim::wall_cycles on `sys` (the
-/// calibration tests assert equality with the simulated DpuRunStats in
-/// both sim modes). This is the kernel-cost callback `map::Mapper`
+/// with `n_tasklets` tasklets: prices the kernel's per-tasklet charge
+/// record (the one its fast twin applies) with sim::wall_cycles on `sys`
+/// (the calibration tests assert equality with the simulated DpuRunStats
+/// in both sim modes). This is the kernel-cost callback `map::Mapper`
 /// searches with.
 Cycles estimate_ebnn_wall_cycles(
     const EbnnConfig& cfg, BnMode mode, ConvKernel kernel,

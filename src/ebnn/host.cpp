@@ -1,5 +1,6 @@
 #include "ebnn/host.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -59,26 +60,31 @@ EbnnHost::EbnnHost(const EbnnConfig& cfg, EbnnWeights weights, BnMode mode,
 core::Offloader::Bind<EbnnBatchResult> EbnnHost::hooks() const {
   return [this](const std::vector<Image>& images,
                 EbnnBatchResult& out) -> core::BatchHooks {
+    // The tail runs once per image, serially: its logits and probs are
+    // scratch it reuses across the batch.
     return {
-        [this, &out](const map::MappingPlan&, std::size_t,
-                     const std::uint8_t* slot) {
+        [this, &out, logits = std::vector<float>(),
+         probs = std::vector<float>()](const map::MappingPlan&, std::size_t,
+                                       const std::uint8_t* slot) mutable {
           // Unpack the packed feature words, then FC + softmax.
-          const int ppf = cfg_.pool_h() * cfg_.pool_w();
+          const auto ppf =
+              static_cast<std::size_t>(cfg_.pool_h() * cfg_.pool_w());
           std::vector<int> feature(
               static_cast<std::size_t>(cfg_.feature_bits()));
-          for (int f = 0; f < cfg_.filters; ++f) {
-            const std::uint8_t* row = slot + static_cast<std::size_t>(f) *
-                                                 layout_.words_per_filter *
-                                                 sizeof(std::uint32_t);
-            for (int p = 0; p < ppf; ++p) {
+          for (std::size_t f = 0; f < static_cast<std::size_t>(cfg_.filters);
+               ++f) {
+            const std::uint8_t* row =
+                slot + f * layout_.words_per_filter * sizeof(std::uint32_t);
+            int* dst = feature.data() + f * ppf;
+            for (std::size_t p0 = 0; p0 < ppf; p0 += 32) {
               std::uint32_t word;
-              std::memcpy(&word, row + p / 32 * sizeof(word), sizeof(word));
-              feature[static_cast<std::size_t>(f) * ppf + p] =
-                  static_cast<int>((word >> (p % 32)) & 1u);
+              std::memcpy(&word, row + p0 / 32 * sizeof(word), sizeof(word));
+              const std::size_t n = std::min<std::size_t>(32, ppf - p0);
+              for (std::size_t b = 0; b < n; ++b) {
+                dst[p0 + b] = static_cast<int>((word >> b) & 1u);
+              }
             }
           }
-          std::vector<float> logits;
-          std::vector<float> probs;
           int predicted = -1;
           reference_.infer_tail(feature, logits, probs, predicted);
           out.predicted.push_back(predicted);

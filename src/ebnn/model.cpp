@@ -109,18 +109,9 @@ void EbnnReference::infer_tail(const std::vector<int>& feature,
                                std::vector<float>& logits,
                                std::vector<float>& probs,
                                int& predicted) const {
-  const auto nfeat = static_cast<std::size_t>(cfg_.feature_bits());
-  require(feature.size() == nfeat, "infer_tail: feature size mismatch");
-  logits.assign(static_cast<std::size_t>(cfg_.classes), 0.0f);
-  for (int c = 0; c < cfg_.classes; ++c) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < nfeat; ++i) {
-      const float v = feature[i] != 0 ? 1.0f : -1.0f;
-      acc += w_.fc[static_cast<std::size_t>(c) * nfeat + i] * v;
-    }
-    logits[static_cast<std::size_t>(c)] = acc;
-  }
-  probs.assign(logits.size(), 0.0f);
+  logits.resize(fc_.classes());
+  fc_.logits(feature, logits);
+  probs.resize(logits.size());
   nn::softmax(logits, probs);
   predicted = static_cast<int>(nn::argmax(probs));
 }

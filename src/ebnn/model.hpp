@@ -83,9 +83,13 @@ struct EbnnActivations {
 class EbnnReference {
 public:
   /// Binds the model to a config and weights (borrowed; caller keeps them
-  /// alive).
+  /// alive). The FC weights are copied here, so later changes to `w.fc`
+  /// need a new reference.
   EbnnReference(const EbnnConfig& cfg, const EbnnWeights& w)
-      : cfg_(cfg), w_(w) {}
+      : cfg_(cfg),
+        w_(w),
+        fc_(w.fc, static_cast<std::size_t>(cfg.classes),
+            static_cast<std::size_t>(cfg.feature_bits())) {}
 
   /// Runs the whole network on one 8-bit grayscale image (img_h*img_w).
   EbnnActivations infer(const std::uint8_t* image) const;
@@ -102,6 +106,7 @@ public:
 private:
   const EbnnConfig& cfg_;
   const EbnnWeights& w_;
+  nn::SignFc fc_;
 };
 
 } // namespace pimdnn::ebnn

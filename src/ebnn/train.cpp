@@ -11,10 +11,10 @@ TrainResult train_fc(const EbnnConfig& cfg, EbnnWeights& weights,
                      const std::vector<LabeledImage>& data,
                      const TrainConfig& tc) {
   require(!data.empty(), "train_fc: empty dataset");
-  const EbnnReference ref(cfg, weights);
   const auto nfeat = static_cast<std::size_t>(cfg.feature_bits());
   const auto nclass = static_cast<std::size_t>(cfg.classes);
   require(weights.fc.size() == nclass * nfeat, "train_fc: fc size mismatch");
+  const EbnnReference ref(cfg, weights);
 
   // Precompute the frozen binary features as +-1 floats.
   std::vector<std::vector<float>> feats;

@@ -104,6 +104,38 @@ struct BatchNormParams {
 /// Binary activation (Algorithm 1 lines 14-17): 1 if x >= 0 else 0.
 inline int binact(float x) { return x >= 0.0f ? 1 : 0; }
 
+/// Fully-connected layer over ±1 features (the eBNN tail): logit c is
+/// Σ_i w[c][i] · s_i, with s_i = +1 for a nonzero feature and -1 for a
+/// zero one. Every class sums its features in order i = 0, 1, ..., so the
+/// logits equal, bit for bit, the class-major loop
+/// `acc += w[c * n + i] * s_i` (w · (±1) is exact: a sign flip). The
+/// weights are transposed once, at construction, into blocks of kLanes
+/// classes, so one pass over the features keeps a block's accumulators in
+/// registers.
+class SignFc {
+public:
+  /// Copies `weights` (classes x features, row-major).
+  SignFc(std::span<const float> weights, std::size_t classes,
+         std::size_t features);
+
+  /// Writes the logit of every class for `feature` (one value per
+  /// feature) into `logits` (one per class); throws UsageError on other
+  /// counts.
+  void logits(std::span<const int> feature, std::span<float> logits) const;
+
+  /// Output classes.
+  std::size_t classes() const { return classes_; }
+
+private:
+  /// Classes summed per pass over the features.
+  static constexpr std::size_t kLanes = 16;
+
+  std::size_t classes_;
+  std::size_t features_;
+  /// Weight bits, [class block][feature][lane]; padding lanes are zero.
+  std::vector<std::uint32_t> wt_;
+};
+
 /// Numerically stable softmax over `logits` into `probs`.
 void softmax(std::span<const float> logits, std::span<float> probs);
 

@@ -1,10 +1,16 @@
 // eBNN tests: LUT construction (Algorithm 1), golden model self-checks,
+// the FC tail's bit-exact logits (shallow and deep references),
 // DPU-vs-reference bit-exact agreement in both BN modes, host orchestration
 // (batching, padding, tasklet sweep), subroutine-profile shape (Fig 4.3),
 // and the LUT speedup (Fig 4.4).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "ebnn/deep.hpp"
 #include "ebnn/dpu_kernel.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
@@ -113,6 +119,92 @@ TEST(Reference, PoolIsMaxOfConvWindow) {
         }
         EXPECT_EQ(a.pooled[(f * cfg.pool_h() + py) * PW + px], mx);
       }
+    }
+  }
+}
+
+/// The class-major ±1 FC written out: logit c sums
+/// w[c][i] · (feature_i != 0 ? +1 : -1) in feature order.
+std::vector<float> class_major_logits(const std::vector<float>& fc,
+                                      int classes,
+                                      const std::vector<int>& feature) {
+  const std::size_t n = feature.size();
+  std::vector<float> logits(static_cast<std::size_t>(classes));
+  for (std::size_t c = 0; c < logits.size(); ++c) {
+    float acc = 0.0f;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += fc[c * n + i] * (feature[i] != 0 ? 1.0f : -1.0f);
+    }
+    logits[c] = acc;
+  }
+  return logits;
+}
+
+/// All-zero, all-one and random 0/1 feature vectors of `n` features.
+std::vector<std::vector<int>> tail_features(int n, std::uint64_t seed) {
+  const auto size = static_cast<std::size_t>(n);
+  std::vector<int> random(size);
+  Rng rng(seed);
+  for (int& v : random) {
+    v = rng.sign() > 0 ? 1 : 0;
+  }
+  return {std::vector<int>(size, 0), std::vector<int>(size, 1), random};
+}
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits;
+  for (const float x : v) {
+    bits.push_back(std::bit_cast<std::uint32_t>(x));
+  }
+  return bits;
+}
+
+TEST(FcTail, EbnnLogitsBitExactForAnyClassCount) {
+  // 1, 10 and 17 classes: one partly-filled lane block, the paper's ten
+  // digits, and a second block holding a single class.
+  for (const int classes : {1, 10, 17}) {
+    EbnnConfig cfg = small_config();
+    cfg.classes = classes;
+    const auto w = EbnnWeights::random(cfg, 80 + classes);
+    const EbnnReference ref(cfg, w);
+    for (const auto& feature : tail_features(cfg.feature_bits(), classes)) {
+      std::vector<float> logits;
+      std::vector<float> probs;
+      int predicted = -1;
+      ref.infer_tail(feature, logits, probs, predicted);
+      const std::vector<float> expect =
+          class_major_logits(w.fc, classes, feature);
+      EXPECT_EQ(float_bits(logits), float_bits(expect))
+          << "classes=" << classes;
+      std::vector<float> expect_probs(expect.size());
+      nn::softmax(expect, expect_probs);
+      EXPECT_EQ(float_bits(probs), float_bits(expect_probs));
+      EXPECT_EQ(predicted, static_cast<int>(nn::argmax(expect_probs)));
+    }
+  }
+}
+
+TEST(FcTail, DeepEbnnLogitsBitExactForAnyClassCount) {
+  // The deep tail exposes probabilities, not logits: they must be the
+  // softmax of the class-major logits, bit for bit.
+  for (const int classes : {1, 10, 17}) {
+    DeepEbnnConfig cfg;
+    cfg.classes = classes;
+    cfg.blocks = {{6}, {4}};
+    const auto w = DeepEbnnWeights::random(cfg, 90 + classes);
+    const DeepEbnnReference ref(cfg, w);
+    for (const auto& feature :
+         tail_features(deep_feature_bits(cfg), classes)) {
+      std::vector<float> probs;
+      int predicted = -1;
+      ref.infer_tail(feature, probs, predicted);
+      const std::vector<float> expect =
+          class_major_logits(w.fc, classes, feature);
+      std::vector<float> expect_probs(expect.size());
+      nn::softmax(expect, expect_probs);
+      EXPECT_EQ(float_bits(probs), float_bits(expect_probs))
+          << "classes=" << classes;
+      EXPECT_EQ(predicted, static_cast<int>(nn::argmax(expect_probs)));
     }
   }
 }

@@ -373,7 +373,7 @@ TEST_F(FastModeTest, PoolAndSessionInheritAndOverrideMode) {
 
 /// One raw-DPU eBNN run: loads the program, uploads weights + images the
 /// way EbnnHost does, launches under `mode`, and captures every symbol's
-/// bytes afterwards.
+/// bytes afterwards (the WRAM scratch buffers included).
 struct RunCapture {
   DpuRunStats stats;
   std::map<std::string, std::vector<std::uint8_t>> mem;
@@ -385,8 +385,9 @@ RunCapture run_ebnn_once(const EbnnConfig& cfg, const EbnnWeights& w,
                          std::uint32_t n_tasklets, OptLevel opt,
                          SimMode mode) {
   const ebnn::EbnnLayout layout = ebnn::ebnn_layout(cfg);
+  const sim::DpuProgram prog = ebnn::make_ebnn_program(cfg, bn, kernel);
   Dpu dpu;
-  dpu.load(ebnn::make_ebnn_program(cfg, bn, kernel));
+  dpu.load(prog);
 
   dpu.host_write(ebnn::symbols::kConvWeights, 0, w.conv_bits.data(),
                  w.conv_bits.size() * sizeof(std::uint32_t));
@@ -413,29 +414,24 @@ RunCapture run_ebnn_once(const EbnnConfig& cfg, const EbnnWeights& w,
   RunCapture out;
   out.stats =
       dpu.launch(n_tasklets, opt, mode);
-  for (const char* name :
-       {ebnn::symbols::kImages, ebnn::symbols::kResults,
-        ebnn::symbols::kMeta, ebnn::symbols::kConvWeights,
-        ebnn::symbols::kBnLut, ebnn::symbols::kBnParams}) {
-    if (!dpu.has_symbol(name)) {
-      continue;
-    }
-    const sim::SymbolInfo& info = dpu.symbol(name);
-    std::vector<std::uint8_t> bytes(info.size);
-    dpu.host_read(name, 0, bytes.data(), bytes.size());
-    out.mem.emplace(name, std::move(bytes));
+  for (const sim::SymbolDecl& d : prog.symbols) {
+    std::vector<std::uint8_t> bytes(d.size);
+    dpu.host_read(d.name, 0, bytes.data(), bytes.size());
+    out.mem.emplace(d.name, std::move(bytes));
   }
   return out;
 }
 
 void cross_check_ebnn(BnMode bn, ConvKernel kernel, std::size_t n_images,
-                      std::uint32_t n_tasklets, OptLevel opt) {
+                      std::uint32_t n_tasklets, OptLevel opt,
+                      const EbnnConfig& cfg = EbnnConfig{}) {
   SCOPED_TRACE(std::string("bn=") +
                (bn == BnMode::HostLut ? "lut" : "softfloat") + " kernel=" +
                (kernel == ConvKernel::PackedRows ? "packed" : "scalar") +
+               " ksize=" + std::to_string(cfg.ksize) +
+               " pool=" + std::to_string(cfg.pool) +
                " images=" + std::to_string(n_images) +
                " tasklets=" + std::to_string(n_tasklets));
-  EbnnConfig cfg;
   const EbnnWeights w = EbnnWeights::random(cfg, 7u + n_images);
   const std::vector<Image> images =
       ebnn::images_only(ebnn::make_synthetic_mnist(n_images, 99));
@@ -454,11 +450,49 @@ void cross_check_ebnn(BnMode bn, ConvKernel kernel, std::size_t n_images,
     ASSERT_TRUE(fast.mem.count(name)) << name;
     EXPECT_EQ(bytes, fast.mem.at(name)) << "symbol " << name;
   }
+
+  // Both executors also agree with the golden model's feature bits.
+  const ebnn::EbnnLayout layout = ebnn::ebnn_layout(cfg);
+  const ebnn::EbnnReference ref(cfg, w);
+  const std::vector<std::uint8_t>& results =
+      fast.mem.at(ebnn::symbols::kResults);
+  const int ppf = cfg.pool_h() * cfg.pool_w();
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const std::vector<int> expect = ref.infer(images[i].data()).feature;
+    for (int f = 0; f < cfg.filters; ++f) {
+      for (int p = 0; p < ppf; ++p) {
+        std::uint32_t word = 0;
+        std::memcpy(&word,
+                    results.data() + i * layout.result_stride +
+                        (static_cast<std::size_t>(f) *
+                             layout.words_per_filter +
+                         static_cast<std::size_t>(p) / 32) *
+                            sizeof(word),
+                    sizeof(word));
+        ASSERT_EQ(static_cast<int>((word >> (p % 32)) & 1u),
+                  expect[static_cast<std::size_t>(f) * ppf + p])
+            << "image " << i << " filter " << f << " bit " << p;
+      }
+    }
+  }
+}
+
+/// The default eBNN with another kernel or pool size. A 5x5 kernel gathers
+/// and counts 25-tap windows (Scalar only: PackedRows needs ksize 3); a
+/// 3x3 pool takes the twin's generic pool loop instead of the unrolled
+/// 2x2 one.
+EbnnConfig ebnn_config(int ksize, int pool) {
+  EbnnConfig cfg;
+  cfg.ksize = ksize;
+  cfg.pool = pool;
+  return cfg;
 }
 
 TEST_F(FastModeTest, EbnnDualRunBitAndCycleExact) {
-  // One tasklet per image, idle tasklets, and the strided multi-image-per-
-  // tasklet case, across every BnMode x ConvKernel combination.
+  // One tasklet per image, idle tasklets (more tasklets than images), and
+  // the strided multi-image-per-tasklet case, across every BnMode x
+  // ConvKernel combination, 9- and 25-tap windows and both of the twin's
+  // pool loops.
   cross_check_ebnn(BnMode::SoftFloat, ConvKernel::Scalar, 3, 5,
                    OptLevel::O3);
   cross_check_ebnn(BnMode::SoftFloat, ConvKernel::PackedRows, 5, 3,
@@ -466,6 +500,14 @@ TEST_F(FastModeTest, EbnnDualRunBitAndCycleExact) {
   cross_check_ebnn(BnMode::HostLut, ConvKernel::Scalar, 4, 4, OptLevel::O3);
   cross_check_ebnn(BnMode::HostLut, ConvKernel::PackedRows, 16, 16,
                    OptLevel::O3);
+  cross_check_ebnn(BnMode::HostLut, ConvKernel::PackedRows, 2, 11,
+                   OptLevel::O3);
+  cross_check_ebnn(BnMode::HostLut, ConvKernel::Scalar, 3, 7, OptLevel::O3,
+                   ebnn_config(5, 2));
+  cross_check_ebnn(BnMode::SoftFloat, ConvKernel::Scalar, 5, 2, OptLevel::O3,
+                   ebnn_config(5, 2));
+  cross_check_ebnn(BnMode::HostLut, ConvKernel::PackedRows, 4, 3,
+                   OptLevel::O3, ebnn_config(3, 3));
 }
 
 TEST_F(FastModeTest, EbnnDualRunBitAndCycleExactAtO0) {
