@@ -16,7 +16,6 @@
 // `--json <path>` emits the table for CI: per-shape predicted/simulated
 // cycles plus the `auto_never_worse` / `calibration_ok` / `split_ok`
 // gate metrics.
-#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -28,7 +27,6 @@
 #include "map/mapper.hpp"
 #include "map/plan.hpp"
 #include "map/space.hpp"
-#include "obs/trace.hpp"
 #include "yolo/detect.hpp"
 #include "yolo/dpu_gemm.hpp"
 #include "yolo/network.hpp"
@@ -212,8 +210,7 @@ int main(int argc, char** argv) {
   // themselves: transfers of chunk s+1 hide behind the kernel of chunk s.
   // Predicted speedup comes from the split-aware plans (PipelineModel
   // makespan vs the same stages laid end to end); measured speedup is the
-  // pipelined executor's PipelineStats over the actual run, with the
-  // obs::Timeline reconstruction cross-checking the model from spans.
+  // pipelined executor's PipelineStats over the actual run.
   bool split_ok = true;
   {
     const int side = 416;
@@ -241,18 +238,9 @@ int main(int argc, char** argv) {
         overlapped_pred > 0.0 ? serial_pred / overlapped_pred : 1.0;
     if (overlapped_pred > serial_pred + 1e-12) auto_never_worse = false;
 
-    // Measured: run the frame through the pipelined executor with tracing
-    // on so the span timeline is reconstructed alongside the model.
-    obs::Tracer::instance().enable("/dev/null");
+    // Measured: run the frame through the pipelined executor.
     const auto piped = runner.run_pipelined({image}, opts);
-    obs::Tracer::instance().disable();
     const double measured = piped.pipeline.speedup();
-    double drift_pct = 0.0;
-    if (piped.timeline) {
-      drift_pct = std::abs(piped.timeline->makespan_seconds -
-                           piped.pipeline.makespan_seconds) /
-                  piped.pipeline.makespan_seconds * 100.0;
-    }
 
     if (predicted < 1.3 || measured < 1.3) split_ok = false;
 
@@ -263,13 +251,11 @@ int main(int argc, char** argv) {
                                      Table::num(std::uint64_t(plans.size()))});
     sp.row({"predicted speedup", Table::num(predicted, 3) + "x"});
     sp.row({"measured speedup", Table::num(measured, 3) + "x"});
-    sp.row({"timeline drift", Table::num(drift_pct, 2) + " %"});
     sp.print(std::cout);
 
     report.metric("split_layers", double(split_layers));
     report.metric("split_predicted_speedup", predicted, "x");
     report.metric("split_measured_speedup", measured, "x");
-    report.metric("split_timeline_drift_pct", drift_pct, "%");
   }
 
   std::cout << "\nauto_never_worse: " << (auto_never_worse ? "yes" : "NO")

@@ -56,12 +56,19 @@ public:
   using Error::Error;
 };
 
-namespace detail {
-/// Throws `E` with a formatted location-prefixed message.
-[[noreturn]] void throw_error(const char* cls, const std::string& msg);
-} // namespace detail
-
 /// Contract check used across the libraries: throws UsageError on failure.
-void require(bool cond, const std::string& msg);
+/// Inline, with a literal overload, so a passing check costs one branch
+/// and builds no message.
+inline void require(bool cond, const char* msg) {
+  if (!cond) {
+    throw UsageError(msg);
+  }
+}
+
+inline void require(bool cond, const std::string& msg) {
+  if (!cond) {
+    throw UsageError(msg);
+  }
+}
 
 } // namespace pimdnn

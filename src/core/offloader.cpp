@@ -305,13 +305,13 @@ void Offloader::finish_batch(const runtime::Chunk& c,
 
 runtime::PipelineStats Offloader::run_batches(
     const std::vector<Batch>& batches, std::uint32_t n_tasklets,
-    runtime::OptLevel opt, std::optional<obs::TimelineReport>* timeline) {
+    runtime::OptLevel opt, bool pipelined) {
   const runtime::Planner plan = [&](std::size_t i, runtime::DpuPool& pool,
                                     bool may_split) {
     return plan_job(batches[i], pool, may_split, n_tasklets, opt);
   };
   const std::string series = program_.pipeline + ".batch";
-  if (timeline == nullptr) {
+  if (!pipelined) {
     obs::Span batch_sp(series.c_str(), "pipeline");
     if (batch_sp.active()) {
       batch_sp.u64("n_items", batches[0].items->size());
@@ -325,7 +325,7 @@ runtime::PipelineStats Offloader::run_batches(
   runtime::PipelineRun run(program_.pipeline.c_str(), "n_batches",
                            batches.size());
   banks_.run(batches.size(), plan, &run.model());
-  return run.close(*timeline, series.c_str(), [&](std::size_t i) {
+  return run.close(series.c_str(), [&](std::size_t i) {
     const BatchStats& s = *batches[i].out;
     return (s.launch.host.host_seconds() + s.launch.wall_seconds +
             s.host_tail_seconds) *

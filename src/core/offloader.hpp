@@ -26,13 +26,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "map/mapper.hpp"
-#include "obs/timeline.hpp"
 #include "runtime/banked_executor.hpp"
 #include "runtime/dpu_set.hpp"
 #include "runtime/pipeline.hpp"
@@ -101,11 +99,9 @@ template <class Batch>
 struct PipelineResult {
   /// Per-batch results, bit-identical to serial `run` calls.
   std::vector<Batch> batches;
-  /// Modeled overlapped timeline vs. the serial equivalent.
+  /// Modeled overlapped timeline vs. the serial equivalent, and its
+  /// lane attribution.
   runtime::PipelineStats pipeline;
-  /// Independent reconstruction from the emitted `pipe.stage` spans;
-  /// present only when tracing was enabled for the run.
-  std::optional<obs::TimelineReport> timeline;
 };
 
 using OffloadPipelineResult = PipelineResult<OffloadResult>;
@@ -196,7 +192,7 @@ public:
   Result run(const Items& items, const Bind<Result>& bind,
              std::uint32_t n_tasklets, runtime::OptLevel opt) {
     Result out;
-    run_batches({{&items, &out, bind(items, out)}}, n_tasklets, opt, nullptr);
+    run_batches({{&items, &out, bind(items, out)}}, n_tasklets, opt, false);
     return out;
   }
 
@@ -213,7 +209,7 @@ public:
       bound.push_back({&batches[i], &out.batches[i],
                        bind(batches[i], out.batches[i])});
     }
-    out.pipeline = run_batches(bound, n_tasklets, opt, &out.timeline);
+    out.pipeline = run_batches(bound, n_tasklets, opt, true);
     return out;
   }
 
@@ -234,12 +230,12 @@ private:
     BatchHooks hooks;
   };
 
-  /// Runs `batches` through the bank ring. With `timeline` null, a lone
+  /// Runs `batches` through the bank ring. Unless `pipelined`, a lone
   /// batch under its "<pipeline>.batch" span; otherwise pipelined, with
   /// the modeled timeline and the "<pipeline>.pipeline" closing block.
-  runtime::PipelineStats run_batches(
-      const std::vector<Batch>& batches, std::uint32_t n_tasklets,
-      runtime::OptLevel opt, std::optional<obs::TimelineReport>* timeline);
+  runtime::PipelineStats run_batches(const std::vector<Batch>& batches,
+                                     std::uint32_t n_tasklets,
+                                     runtime::OptLevel opt, bool pipelined);
   /// The plan request: checks the batch, resolves the (items_per_dpu,
   /// tasklets, split) mapping against `pool`'s health picture and returns
   /// the job that runs it.

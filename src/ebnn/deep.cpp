@@ -359,10 +359,10 @@ void deep_tasklet(TaskletCtx& ctx, const DeepKernelParams& p) {
 /// What `deep_tasklet` charges tasklet `t` of `n_tasklets` over a launch
 /// of `n_images` images (see deep_tasklet for the op-level breakdown). The
 /// twin applies this record and estimate_deep_ebnn_wall_cycles prices it.
-KernelCharges deep_charges(const DeepEbnnConfig& cfg,
-                           const std::vector<DeepBlockDims>& dims,
-                           std::uint64_t n_images, std::uint32_t t,
-                           std::uint32_t n_tasklets) {
+sim::KernelCharges deep_charges(const DeepEbnnConfig& cfg,
+                                const std::vector<DeepBlockDims>& dims,
+                                std::uint64_t n_images, std::uint32_t t,
+                                std::uint32_t n_tasklets) {
   const std::uint64_t k2 =
       static_cast<std::uint64_t>(cfg.ksize) * cfg.ksize;
   const auto img_bytes =
@@ -378,7 +378,7 @@ KernelCharges deep_charges(const DeepEbnnConfig& cfg,
 
   // Binarize, zero and pack the feature words, then per block and filter
   // the multi-channel conv and the pool + LUT BN-BinAct.
-  KernelCharges image;
+  sim::KernelCharges image;
   image.alu = 3 * img_bytes + feat_words + 2 * bits;
   image.loops = img_bytes + bits;
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
@@ -410,8 +410,8 @@ void deep_tasklet_fast(TaskletCtx& ctx, const DeepKernelParams& p) {
           "deep eBNN: tasklets exceed image slots");
 
   const std::uint64_t n_images = ctx.wram_span<std::uint64_t>("meta")[0];
-  apply_counts(ctx, deep_charges(cfg, p.dims, n_images, ctx.id(),
-                                 ctx.n_tasklets()));
+  sim::apply_counts(ctx, deep_charges(cfg, p.dims, n_images, ctx.id(),
+                                      ctx.n_tasklets()));
 
   auto conv_w = ctx.wram_span<std::uint32_t>("conv_w");
   auto luts = ctx.wram_span<std::uint8_t>("luts");
@@ -634,7 +634,7 @@ Cycles estimate_deep_ebnn_wall_cycles(const DeepEbnnConfig& cfg,
   require(n_tasklets >= 1,
           "estimate_deep_ebnn_wall_cycles: tasklets must be >= 1");
   const auto dims = deep_dims(cfg);
-  return priced_wall(n_tasklets, opt, sys, [&](std::uint32_t t) {
+  return sim::priced_wall(n_tasklets, opt, sys, [&](std::uint32_t t) {
     return deep_charges(cfg, dims, n_images, t, n_tasklets);
   });
 }

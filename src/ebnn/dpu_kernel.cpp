@@ -242,9 +242,9 @@ void ebnn_tasklet(TaskletCtx& ctx, const KernelParams& p) {
 /// What `ebnn_tasklet` charges tasklet `t` of `n_tasklets` over a launch
 /// of `n_images` images (see ebnn_tasklet for the op-level breakdown). The
 /// twin applies this record and estimate_ebnn_wall_cycles prices it.
-KernelCharges ebnn_charges(const EbnnConfig& cfg, BnMode mode,
-                           ConvKernel kernel, std::uint64_t n_images,
-                           std::uint32_t t, std::uint32_t n_tasklets) {
+sim::KernelCharges ebnn_charges(const EbnnConfig& cfg, BnMode mode,
+                                ConvKernel kernel, std::uint64_t n_images,
+                                std::uint32_t t, std::uint32_t n_tasklets) {
   const bool packed = kernel == ConvKernel::PackedRows;
   const bool softfloat_bn = mode == BnMode::SoftFloat;
   const auto img_bytes = static_cast<std::uint64_t>(cfg.img_h) * cfg.img_w;
@@ -258,7 +258,7 @@ KernelCharges ebnn_charges(const EbnnConfig& cfg, BnMode mode,
   const std::uint64_t conv_ops = F * conv_px;
   const std::uint64_t pool_ops = F * pool_px;
 
-  KernelCharges image;
+  sim::KernelCharges image;
   // Binarize, zero the feature words, per filter its tap word (and five
   // BN loads), per conv pixel the gather, XNOR, dot and store, per pooled
   // pixel the pool, the BN-BinAct and the bit pack.
@@ -329,8 +329,8 @@ void ebnn_tasklet_fast(TaskletCtx& ctx, const KernelParams& p) {
 
   const std::uint64_t n_images =
       ctx.wram_span<std::uint64_t>(symbols::kMeta)[0];
-  apply_counts(ctx, ebnn_charges(cfg, p.mode, p.kernel, n_images, ctx.id(),
-                                 ctx.n_tasklets()));
+  sim::apply_counts(ctx, ebnn_charges(cfg, p.mode, p.kernel, n_images,
+                                      ctx.id(), ctx.n_tasklets()));
 
   auto conv_w = ctx.wram_span<std::uint32_t>(symbols::kConvWeights);
   auto img_all = ctx.wram_span<std::uint8_t>("img_buf");
@@ -544,7 +544,7 @@ Cycles estimate_ebnn_wall_cycles(const EbnnConfig& cfg, BnMode mode,
                                  sim::OptLevel opt,
                                  const sim::UpmemConfig& sys) {
   require(n_tasklets >= 1, "estimate_ebnn_wall_cycles: tasklets must be >= 1");
-  return priced_wall(n_tasklets, opt, sys, [&](std::uint32_t t) {
+  return sim::priced_wall(n_tasklets, opt, sys, [&](std::uint32_t t) {
     return ebnn_charges(cfg, mode, kernel, n_images, t, n_tasklets);
   });
 }

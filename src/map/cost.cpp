@@ -29,20 +29,19 @@ PredictedBreakdown predict(const CostParams& params,
                          params.host_link_bytes_per_second;
 
   // Compose on the same timeline the pipelined executors report against:
-  // one item through xfer -> kernel -> xfer on a single bank. This is a
-  // what-if model, so it must not emit pipe.stage telemetry spans.
-  runtime::PipelineModel model(1, /*trace=*/false);
+  // one item through xfer -> kernel -> xfer on a single bank.
+  runtime::PipelineModel model(1);
   model.xfer_stage(0, 0, out.to_dpu_seconds);
   model.dpu_stage(0, 0, out.kernel_seconds);
   model.xfer_stage(0, 0, out.from_dpu_seconds);
-  out.makespan_seconds = model.stats().makespan_seconds;
+  out.makespan_seconds = model.makespan();
   return out;
 }
 
 PredictedBreakdown predict_split(const CostParams& params,
                                  const std::vector<CandidateTraffic>& subs) {
   PredictedBreakdown out;
-  runtime::PipelineModel model(2, /*trace=*/false);
+  runtime::PipelineModel model(2);
   for (std::size_t s = 0; s < subs.size(); ++s) {
     const CandidateTraffic& t = subs[s];
     const double to = static_cast<double>(t.bytes_to_dpu) /
@@ -60,7 +59,7 @@ PredictedBreakdown predict_split(const CostParams& params,
     out.from_dpu_seconds += from;
     out.kernel_cycles = std::max(out.kernel_cycles, t.kernel_cycles);
   }
-  out.makespan_seconds = model.stats().makespan_seconds;
+  out.makespan_seconds = model.makespan();
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 
 namespace pimdnn::runtime {
@@ -80,16 +81,14 @@ PipelineRun::PipelineRun(const char* name, const char* count_key,
     : name_(name),
       n_(n),
       span_((std::string(name) + ".pipeline").c_str(), "pipeline"),
-      model_(2),
-      tracing_(obs::Tracer::enabled()),
-      since_us_(tracing_ ? obs::Tracer::instance().now_us() : 0.0) {
+      model_(2) {
   if (span_.active()) {
     span_.u64(count_key, n);
   }
 }
 
 PipelineStats PipelineRun::close(
-    std::optional<obs::TimelineReport>& timeline, const char* slo_series,
+    const char* slo_series,
     const std::function<double(std::size_t)>& latency_ms) {
   const PipelineStats stats = model_.stats();
   if (span_.active()) {
@@ -97,15 +96,12 @@ PipelineStats PipelineRun::close(
     span_.f64("serial_ms", stats.serial_seconds * 1e3);
     span_.f64("speedup", stats.speedup());
   }
-  if (tracing_) {
-    const obs::Timeline tl = obs::Timeline::from_events(
-        obs::Tracer::instance().snapshot(), since_us_);
-    if (tl.stages() > 0) {
-      timeline = tl.report();
-      obs::record_drift(name_, *timeline, stats.makespan_seconds,
-                        stats.overlap_efficiency());
-    }
+  auto& m = obs::Metrics::instance();
+  const std::string prefix = std::string("timeline.") + name_;
+  for (const LaneUsage& lane : stats.lanes) {
+    m.record(prefix + ".util." + lane.name, lane.utilization);
   }
+  m.record(prefix + ".overlap", stats.overlap_efficiency());
   if (obs::SloTracker::enabled()) {
     for (std::size_t i = 0; i < n_; ++i) {
       obs::SloTracker::instance().record(slo_series, latency_ms(i));

@@ -32,7 +32,6 @@
 #include <optional>
 #include <vector>
 
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
@@ -194,13 +193,12 @@ public:
 
   PipelineModel& model() { return model_; }
 
-  /// Stamps the modeled makespan/serial time/speedup on the span, rebuilds
-  /// the obs::Timeline from the run's `pipe.stage` spans when tracing
-  /// (recording its drift against the model under `name`), and records
-  /// `latency_ms(i)` for every item under SLO series `slo_series`. Returns
-  /// the modeled stats.
-  PipelineStats close(std::optional<obs::TimelineReport>& timeline,
-                      const char* slo_series,
+  /// Stamps the modeled makespan/serial time/speedup on the span, records
+  /// the model's lane utilizations and overlap as
+  /// `timeline.<name>.util.<lane>` / `timeline.<name>.overlap`, and
+  /// records `latency_ms(i)` for every item under SLO series
+  /// `slo_series`. Returns the model's stats.
+  PipelineStats close(const char* slo_series,
                       const std::function<double(std::size_t)>& latency_ms);
 
 private:
@@ -208,8 +206,6 @@ private:
   std::size_t n_;
   obs::Span span_;
   PipelineModel model_;
-  bool tracing_;
-  double since_us_;
 };
 
 /// The bank pair plus the two ways through it: one job on its own, or

@@ -3,45 +3,23 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace pimdnn::runtime {
 
-namespace {
-
-/// Every reported stage also goes to the tracer as a `pipe.stage` span so
-/// obs::Timeline can rebuild the schedule from the telemetry stream alone
-/// and cross-check it against this model (the obs.drift gauge). Emitted
-/// outside the model lock; buffer order still matches report order per
-/// item because each item's stages are reported sequentially by one
-/// executor thread.
-void stage_span(const char* lane, std::size_t item, unsigned bank,
-                Seconds duration) {
-  obs::Span sp("pipe.stage", "pipeline");
-  if (sp.active()) {
-    sp.str("lane", lane);
-    sp.u64("bank", bank);
-    sp.u64("item", item);
-    sp.f64("seconds", duration);
-  }
-}
-
-} // namespace
-
-PipelineModel::PipelineModel(unsigned n_banks, bool trace)
-    : trace_(trace), lanes_(1 + static_cast<std::size_t>(n_banks)) {
+PipelineModel::PipelineModel(unsigned n_banks)
+    : lanes_(1 + static_cast<std::size_t>(n_banks)) {
   require(n_banks >= 1, "PipelineModel needs at least one bank");
 }
 
-Seconds& PipelineModel::item_ready(std::size_t item) {
+PipelineModel::Item& PipelineModel::item_at(std::size_t item) {
   if (item >= items_.size()) {
     const std::size_t old = items_.size();
-    items_.resize(item + 1, 0.0);
+    items_.resize(item + 1);
     // Two-in-flight floor: the executors start item i only after item i-2
     // finished, and they report items in order, so items_[i - 2] is final
     // by the time item i first appears.
     for (std::size_t i = std::max<std::size_t>(old, 2); i <= item; ++i) {
-      items_[i] = items_[i - 2];
+      items_[i].ready = items_[i - 2].ready;
     }
   }
   return items_[item];
@@ -81,66 +59,65 @@ void PipelineModel::occupy(unsigned lane, Seconds start, Seconds end) {
            Busy{start, end});
 }
 
-void PipelineModel::host_stage(std::size_t item, Seconds duration) {
-  if (trace_) {
-    stage_span("host", item, 0, duration);
-  }
+void PipelineModel::book(std::size_t item, Kind kind, unsigned bank,
+                         Seconds duration) {
+  require(1 + bank < lanes_.size(), "PipelineModel: bank out of range");
   std::lock_guard<std::mutex> lk(mu_);
-  Seconds& ready = item_ready(item);
+  Item& it = item_at(item);
   serial_ += duration;
-  host_busy_ += duration;
-  if (duration <= 0.0) {
-    return;
+  switch (kind) {
+    case Kind::Host:
+      it.host += duration;
+      host_busy_ += duration;
+      break;
+    case Kind::Xfer:
+      it.xfer += duration;
+      host_busy_ += duration;
+      break;
+    case Kind::Dpu:
+      it.dpu += duration;
+      dpu_busy_ += duration;
+      break;
   }
-  const unsigned lanes[] = {0};
-  const Seconds start = earliest_fit(lanes, 1, ready, duration);
-  const Seconds end = start + duration;
-  occupy(0, start, end);
-  ready = end;
-  makespan_ = std::max(makespan_, end);
+  Seconds start = it.ready;
+  if (duration > 0.0) {
+    unsigned lanes[2];
+    std::size_t n = 0;
+    if (kind != Kind::Dpu) {
+      lanes[n++] = 0;
+    }
+    if (kind != Kind::Host) {
+      lanes[n++] = 1 + bank;
+    }
+    start = earliest_fit(lanes, n, it.ready, duration);
+    for (std::size_t l = 0; l < n; ++l) {
+      occupy(lanes[l], start, start + duration);
+    }
+    it.ready = start + duration;
+    makespan_ = std::max(makespan_, it.ready);
+  }
+  if (it.first_start < 0.0) {
+    it.first_start = start;
+  }
+}
+
+void PipelineModel::host_stage(std::size_t item, Seconds duration) {
+  book(item, Kind::Host, 0, duration);
 }
 
 void PipelineModel::xfer_stage(std::size_t item, unsigned bank,
                                Seconds duration) {
-  require(1 + bank < lanes_.size(), "PipelineModel: bank out of range");
-  if (trace_) {
-    stage_span("xfer", item, bank, duration);
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  Seconds& ready = item_ready(item);
-  serial_ += duration;
-  host_busy_ += duration;
-  if (duration <= 0.0) {
-    return;
-  }
-  const unsigned lanes[] = {0, 1 + bank};
-  const Seconds start = earliest_fit(lanes, 2, ready, duration);
-  const Seconds end = start + duration;
-  occupy(0, start, end);
-  occupy(1 + bank, start, end);
-  ready = end;
-  makespan_ = std::max(makespan_, end);
+  book(item, Kind::Xfer, bank, duration);
 }
 
 void PipelineModel::dpu_stage(std::size_t item, unsigned bank,
                               Seconds duration) {
-  require(1 + bank < lanes_.size(), "PipelineModel: bank out of range");
-  if (trace_) {
-    stage_span("dpu", item, bank, duration);
-  }
+  book(item, Kind::Dpu, bank, duration);
+}
+
+Seconds PipelineModel::makespan() const {
   std::lock_guard<std::mutex> lk(mu_);
-  Seconds& ready = item_ready(item);
-  serial_ += duration;
-  dpu_busy_ += duration;
-  if (duration <= 0.0) {
-    return;
-  }
-  const unsigned lanes[] = {1 + bank};
-  const Seconds start = earliest_fit(lanes, 1, ready, duration);
-  const Seconds end = start + duration;
-  occupy(1 + bank, start, end);
-  ready = end;
-  makespan_ = std::max(makespan_, end);
+  return makespan_;
 }
 
 PipelineStats PipelineModel::stats() const {
@@ -151,6 +128,52 @@ PipelineStats PipelineModel::stats() const {
   s.serial_seconds = serial_;
   s.host_seconds = host_busy_;
   s.dpu_seconds = dpu_busy_;
+
+  Seconds host_compute = 0.0;
+  Seconds link = 0.0;
+  s.per_frame.reserve(items_.size());
+  for (const Item& it : items_) {
+    FrameUsage f;
+    f.host_seconds = it.host;
+    f.xfer_seconds = it.xfer;
+    f.dpu_seconds = it.dpu;
+    f.latency_seconds = it.first_start >= 0.0 ? it.ready - it.first_start
+                                              : 0.0;
+    s.per_frame.push_back(f);
+    host_compute += it.host;
+    link += it.xfer;
+  }
+
+  const auto lane = [span = makespan_](std::string name, Seconds busy) {
+    return LaneUsage{std::move(name), busy, span > 0.0 ? busy / span : 0.0};
+  };
+  s.lanes.push_back(lane("host", host_busy_));
+  s.lanes.push_back(lane("link", link));
+  // The bound is the busiest of the schedule's real resources: the host
+  // lane against each bank (its transfers and kernels, as booked).
+  Seconds best = host_busy_;
+  Seconds second = 0.0;
+  s.critical_lane = "host";
+  for (std::size_t b = 0; b + 1 < lanes_.size(); ++b) {
+    Seconds busy = 0.0;
+    for (const Busy& iv : lanes_[1 + b]) {
+      busy += iv.end - iv.start;
+    }
+    std::string name = "bank" + std::to_string(b);
+    if (busy > best) {
+      second = best;
+      best = busy;
+      s.critical_lane = name;
+    } else {
+      second = std::max(second, busy);
+    }
+    s.lanes.push_back(lane(std::move(name), busy));
+  }
+  if (s.critical_lane == "host" && link > host_compute) {
+    s.critical_lane = "link";
+  }
+  s.critical_utilization = makespan_ > 0.0 ? best / makespan_ : 0.0;
+  s.critical_margin_seconds = best - second;
   return s;
 }
 

@@ -36,23 +36,61 @@
 // what a many-core host reports. One structural constraint of the
 // double-buffered executors is kept: item i never starts before item i-2
 // finished (at most two in flight).
+//
+// The booked intervals are also the run's one report: stats() attributes
+// the schedule to its lanes (busy time of the host lane, the transfer link
+// and each bank), to its items (stage totals and latency) and to the lane
+// that bounded it. The PrIM studies (Gómez-Luna et al., arXiv:2105.03814)
+// show that on UPMEM hardware the host<->DPU transfers usually bound a run,
+// so "which lane, and by how much" is the question that report answers.
 #pragma once
 
 #include <cstddef>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace pimdnn::runtime {
 
-/// Aggregate of one pipelined run over the modeled timeline.
+/// Busy time of one lane of the schedule.
+struct LaneUsage {
+  std::string name;           ///< "host", "link", or "bank0"/"bank1"/...
+  Seconds busy_seconds = 0.0; ///< stage time booked on the lane
+  double utilization = 0.0;   ///< busy_seconds / makespan (0 when empty)
+};
+
+/// Stage totals of one item (frame or batch) of the schedule.
+struct FrameUsage {
+  Seconds host_seconds = 0.0;    ///< host-compute stage time
+  Seconds xfer_seconds = 0.0;    ///< transfer stage time
+  Seconds dpu_seconds = 0.0;     ///< kernel stage time
+  Seconds latency_seconds = 0.0; ///< first-stage start to last-stage end
+};
+
+/// Aggregate of one pipelined run over the modeled timeline, and its
+/// attribution to lanes and items.
 struct PipelineStats {
   std::size_t items = 0;           ///< frames / batches scheduled
   Seconds makespan_seconds = 0.0;  ///< modeled overlapped wall time
   Seconds serial_seconds = 0.0;    ///< the same stages laid end to end
   Seconds host_seconds = 0.0;      ///< host-lane busy time (incl. transfers)
   Seconds dpu_seconds = 0.0;       ///< summed bank busy kernel time
+  /// "host" (compute + transfers), "link" (transfers alone), then
+  /// "bank<b>" (transfers + kernels) for every bank of the model.
+  std::vector<LaneUsage> lanes;
+  /// One entry per item, indexed by item.
+  std::vector<FrameUsage> per_frame;
+  /// Lane that bounded the run: the busiest of the host lane and the banks,
+  /// reported as "link" when the host lane's busy time is mostly transfers
+  /// (the link is a share of both, so it never competes on its own).
+  std::string critical_lane;
+  /// busy(critical) / makespan: 1.0 means that lane never idled.
+  double critical_utilization = 0.0;
+  /// busy(critical) - busy(runner up): how much the bounding lane
+  /// out-occupies the next busiest resource.
+  Seconds critical_margin_seconds = 0.0;
 
   /// serial / makespan: how much faster the overlapped schedule is than
   /// the synchronous one (1.0 when nothing overlapped or nothing ran).
@@ -73,11 +111,7 @@ struct PipelineStats {
 class PipelineModel {
 public:
   /// `n_banks` independent DPU lanes (2 for the double-buffered pipelines).
-  /// `trace` controls the `pipe.stage` telemetry spans: executors keep it
-  /// on so obs::Timeline can rebuild their schedule; what-if models (the
-  /// mapper's cost predictions) turn it off so hypothetical stages never
-  /// pollute the reconstruction.
-  explicit PipelineModel(unsigned n_banks, bool trace = true);
+  explicit PipelineModel(unsigned n_banks);
 
   /// Host-only stage (im2col, bias+leaky, FC tail, result unpack).
   void host_stage(std::size_t item, Seconds duration);
@@ -88,16 +122,33 @@ public:
   /// DPU kernel on `bank` (simulated seconds); the host lane stays free.
   void dpu_stage(std::size_t item, unsigned bank, Seconds duration);
 
-  /// Snapshot of the schedule built so far.
+  /// Modeled overlapped wall of the schedule built so far.
+  Seconds makespan() const;
+
+  /// Snapshot of the schedule built so far, with its attribution.
   PipelineStats stats() const;
 
 private:
+  /// What a stage holds: host compute the host lane, a transfer the host
+  /// lane and its bank, a kernel only its bank.
+  enum class Kind { Host, Xfer, Dpu };
+
   /// One occupied interval on a resource lane.
   struct Busy {
     Seconds start, end;
   };
 
-  Seconds& item_ready(std::size_t item);
+  /// One item's readiness and stage totals.
+  struct Item {
+    Seconds ready = 0.0;        ///< completion time of its last stage
+    Seconds first_start = -1.0; ///< start of its first stage (-1: none yet)
+    Seconds host = 0.0, xfer = 0.0, dpu = 0.0;
+  };
+
+  Item& item_at(std::size_t item);
+  /// The booking sequence every stage goes through: account the stage,
+  /// fit it at the earliest time its lanes are all free, book it there.
+  void book(std::size_t item, Kind kind, unsigned bank, Seconds duration);
   /// Earliest start >= `earliest` at which [start, start+duration) is free
   /// on every lane in `lanes` (indices into lanes_).
   Seconds earliest_fit(const unsigned* lanes, std::size_t n_lanes,
@@ -106,12 +157,11 @@ private:
   void occupy(unsigned lane, Seconds start, Seconds end);
 
   mutable std::mutex mu_;
-  const bool trace_; ///< emit pipe.stage spans (off for what-if models)
   /// lanes_[0] is the host lane; lanes_[1 + b] is bank b.
   std::vector<std::vector<Busy>> lanes_;
-  std::vector<Seconds> items_;     ///< per-item last-stage completion time
+  std::vector<Item> items_;
   Seconds serial_ = 0.0;
-  Seconds host_busy_ = 0.0;
+  Seconds host_busy_ = 0.0; ///< host compute + transfers
   Seconds dpu_busy_ = 0.0;
   Seconds makespan_ = 0.0;
 };

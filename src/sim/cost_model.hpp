@@ -60,9 +60,6 @@ public:
   /// At O0 this includes the stack loads/stores `dpu-clang -O0` emits.
   unsigned alu_stmt() const;
 
-  /// Slots for a WRAM load or store expressed as its own statement.
-  unsigned wram_access() const { return alu_stmt(); }
-
   /// Slots for an integer multiply statement of the given operand width.
   /// Widths < 16 use the hardware 8x8 multiplier steps (4 instructions,
   /// matching the thesis' g(4)=g(8)=4); 16-bit collapses to hardware only
@@ -76,9 +73,6 @@ public:
   /// Slots for one loop iteration's bookkeeping (index update, bound
   /// compare, branch). O0 spills the induction variable every iteration.
   unsigned loop_iter() const;
-
-  /// Slots for a call/return pair (argument marshalling included).
-  unsigned call_overhead() const { return 5; }
 
   /// Slots for one SDK barrier wait statement: the SDK's barrier is an
   /// acquire/release pair around a counter update plus the wait loop's

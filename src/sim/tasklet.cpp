@@ -197,8 +197,6 @@ void TaskletCtx::charge_loop(std::uint64_t iters) {
   stats_.slots += iters * cost_.loop_iter();
 }
 
-void TaskletCtx::charge_call() { stats_.slots += cost_.call_overhead(); }
-
 void TaskletCtx::charge_mul(unsigned bits, std::uint64_t n) {
   stats_.slots += n * cost_.mul_stmt(bits);
   if (cost_.mul_uses_subroutine(bits)) {

@@ -157,9 +157,6 @@ public:
   /// Charges `iters` loop-iteration overheads.
   void charge_loop(std::uint64_t iters);
 
-  /// Charges one call/return pair.
-  void charge_call();
-
   /// Charges `n` integer multiplies of the given width, recording
   /// subroutine occurrences when the width requires them.
   void charge_mul(unsigned bits, std::uint64_t n);

@@ -182,6 +182,16 @@ std::vector<LayerDef> yolov3_lite_config(int width_mult, int max_repeats) {
   return v;
 }
 
+std::size_t resolve_ref(std::size_t layer, int ref) {
+  const long abs =
+      ref < 0 ? static_cast<long>(layer) + ref : static_cast<long>(ref);
+  if (abs < 0 || abs >= static_cast<long>(layer)) {
+    throw UsageError("layer " + std::to_string(layer) + ": reference " +
+                     std::to_string(ref) + " is unresolvable");
+  }
+  return static_cast<std::size_t>(abs);
+}
+
 ConfigSummary summarize(const std::vector<LayerDef>& defs, int in_c, int in_h,
                         int in_w) {
   ConfigSummary s;
@@ -192,14 +202,6 @@ ConfigSummary summarize(const std::vector<LayerDef>& defs, int in_c, int in_h,
   Dim cur{in_c, in_h, in_w};
   for (std::size_t i = 0; i < defs.size(); ++i) {
     const LayerDef& d = defs[i];
-    auto resolve = [&](int idx) -> std::size_t {
-      const long abs =
-          idx < 0 ? static_cast<long>(i) + idx : static_cast<long>(idx);
-      require(abs >= 0 && abs < static_cast<long>(i),
-              "layer " + std::to_string(i) + ": reference " +
-                  std::to_string(idx) + " is unresolvable");
-      return static_cast<std::size_t>(abs);
-    };
     switch (d.type) {
       case LayerType::Convolutional: {
         nn::ConvGeom g{cur.c, cur.h, cur.w, d.filters,
@@ -212,7 +214,7 @@ ConfigSummary summarize(const std::vector<LayerDef>& defs, int in_c, int in_h,
         break;
       }
       case LayerType::Shortcut: {
-        const Dim& other = dims[resolve(d.from)];
+        const Dim& other = dims[resolve_ref(i, d.from)];
         require(other.c == cur.c && other.h == cur.h && other.w == cur.w,
                 "layer " + std::to_string(i) + ": shortcut shape mismatch");
         ++s.shortcut_layers;
@@ -222,7 +224,7 @@ ConfigSummary summarize(const std::vector<LayerDef>& defs, int in_c, int in_h,
         require(!d.layers.empty(), "route with no layers");
         Dim out{0, 0, 0};
         for (int idx : d.layers) {
-          const Dim& other = dims[resolve(idx)];
+          const Dim& other = dims[resolve_ref(i, idx)];
           if (out.c == 0) {
             out = other;
           } else {

@@ -10,6 +10,7 @@
 // full-size network is still used analytically (see dpu_gemm estimator).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,6 +68,11 @@ std::vector<LayerDef> yolov3_tiny_config();
 /// base of 8 filters; residual repeat counts are capped at `max_repeats`.
 std::vector<LayerDef> yolov3_lite_config(int width_mult = 1,
                                          int max_repeats = 1);
+
+/// Index of the layer that route/shortcut reference `ref` of layer `layer`
+/// names (negative references count back from `layer`). Throws UsageError,
+/// naming the layer and the reference, unless it is an earlier layer.
+std::size_t resolve_ref(std::size_t layer, int ref);
 
 /// Computes per-layer output shapes given input (c,h,w); validates that
 /// routes/shortcuts are resolvable; returns a summary including total MACs.

@@ -12,6 +12,7 @@
 #include "nn/gemm.hpp"
 #include "runtime/banked_executor.hpp"
 #include "runtime/kernel_session.hpp"
+#include "sim/charges.hpp"
 
 namespace pimdnn::yolo {
 
@@ -45,33 +46,26 @@ std::uint32_t gemm_phases(GemmVariant variant) {
   return variant == GemmVariant::WramTiled ? 2 : 1;
 }
 
-/// What `gemm_tasklet` charges one tasklet over a whole launch (the
-/// barrier statements between phases are Dpu::launch's). The interpreted
-/// kernel issues these charges op by op; the fast twin applies the count
-/// fields in bulk (its real DMAs charge themselves) and
+/// What `gemm_tasklet` charges tasklet `t` of `n_tasklets` computing
+/// `rows` rows over a whole launch. The interpreted kernel issues these
+/// charges op by op; the fast twin applies the counts in bulk and
 /// estimate_gemm_row_cycles prices the whole record, so this is the one
-/// closed form of the kernel's cost.
-struct GemmCharges {
-  std::uint64_t alu = 0;   ///< plain ALU statements
-  std::uint64_t loops = 0; ///< loop iterations
-  std::uint64_t mul16 = 0; ///< 16-bit multiplies (APART = ALPHA * A)
-  std::uint64_t mul32 = 0; ///< 32-bit multiplies (the MACs)
-  Cycles dma = 0;          ///< cycles of every DMA transfer
-};
-
-/// Charges of tasklet `t` of `n_tasklets` computing `rows` rows. O(1):
-/// tasklet t takes strips t, t+T, ... of each row, and only a row's last
-/// strip can be narrower than kGemmStrip.
-GemmCharges gemm_charges(int n, int k, GemmVariant variant, int rows,
-                         std::uint32_t t, std::uint32_t n_tasklets) {
+/// closed form of the kernel's cost. O(1): tasklet t takes strips t, t+T,
+/// ... of each row, and only a row's last strip can be narrower than
+/// kGemmStrip. Inline: the mapper prices thousands of candidates per plan,
+/// and an out-of-line recipe made estimate_gemm_row_cycles 1.7x slower.
+inline sim::KernelCharges gemm_charges(int n, int k, GemmVariant variant,
+                                       int rows, std::uint32_t t,
+                                       std::uint32_t n_tasklets) {
   const bool tiled = variant == GemmVariant::WramTiled;
   const auto uk = static_cast<std::uint64_t>(k);
   const auto urows = static_cast<std::uint64_t>(rows);
-  GemmCharges c;
+  sim::KernelCharges c;
   const auto add_dma = [&c](MemSize bytes, std::uint64_t count) {
     c.dma += count * CostModel::dma_cycles(bytes);
   };
   c.alu = 5; // meta loads
+  c.barriers = gemm_phases(variant) - 1;
   if (tiled && t == 0) {
     // Phase 0: one loop iteration per <=2048-byte A staging DMA.
     const MemSize row_bytes = static_cast<MemSize>(k) * 2;
@@ -291,13 +285,9 @@ void gemm_tasklet_fast(TaskletCtx& ctx) {
   if (ctx.phase() == 0) {
     require(ctx.n_tasklets() <= map::kMaxGemmTasklets,
             "GEMM program supports at most 16 tasklets");
-    const GemmCharges c = gemm_charges(n, k, GemmVariant::WramTiled,
-                                       static_cast<int>(meta.rows),
-                                       ctx.id(), ctx.n_tasklets());
-    ctx.charge_alu(c.alu);
-    ctx.charge_loop(c.loops);
-    ctx.charge_mul(16, c.mul16);
-    ctx.charge_mul(32, c.mul32);
+    sim::apply_counts(ctx, gemm_charges(n, k, GemmVariant::WramTiled,
+                                        static_cast<int>(meta.rows),
+                                        ctx.id(), ctx.n_tasklets()));
     if (ctx.id() == 0) {
       stage_a_rows(ctx, GemmView(ctx, meta), [] {});
     }
@@ -578,23 +568,9 @@ Cycles estimate_gemm_row_cycles(int n, int k, GemmVariant variant,
   map::require_gemm_shape(n, k);
   map::require_positive_rows(rows_per_dpu);
   map::require_gemm_tasklets(n_tasklets);
-  const CostModel cost(opt);
-  // Every tasklet also pays one barrier statement per phase boundary.
-  const std::uint64_t barrier_slots =
-      (gemm_phases(variant) - 1) *
-      static_cast<std::uint64_t>(cost.barrier_stmt());
-
-  std::vector<sim::TaskletStats> tasklets(n_tasklets);
-  for (std::uint32_t t = 0; t < n_tasklets; ++t) {
-    const GemmCharges c =
-        gemm_charges(n, k, variant, rows_per_dpu, t, n_tasklets);
-    sim::TaskletStats& ts = tasklets[t];
-    ts.slots = c.alu * cost.alu_stmt() + c.loops * cost.loop_iter() +
-               c.mul16 * cost.mul_stmt(16) + c.mul32 * cost.mul_stmt(32) +
-               barrier_slots;
-    ts.dma_cycles = c.dma;
-  }
-  return sim::wall_cycles(tasklets, sys);
+  return sim::priced_wall(n_tasklets, opt, sys, [&](std::uint32_t t) {
+    return gemm_charges(n, k, variant, rows_per_dpu, t, n_tasklets);
+  });
 }
 
 } // namespace pimdnn::yolo

@@ -139,8 +139,8 @@ map::MappingPlan plan_gemm_mapping(
 ///
 /// When `model` is non-null, chunk s reports its measured stages to it as
 /// item `model_item + s` on lane `(lane + s) % 2` (xfer: to-DPU + load
-/// walls; dpu: simulated kernel wall; xfer: from-DPU wall) — the
-/// attribution obs::Timeline reconstructs.
+/// walls; dpu: simulated kernel wall; xfer: from-DPU wall), which the
+/// model's stats attribute to lanes.
 GemmResult dpu_gemm_planned(runtime::DpuPool& pool_even,
                             runtime::DpuPool* pool_odd, int m, int n, int k,
                             std::int16_t alpha,

@@ -69,10 +69,6 @@ YoloWeights YoloWeights::random(const std::vector<LayerDef>& defs, int in_c,
   int cur = in_c;
   for (std::size_t i = 0; i < defs.size(); ++i) {
     const LayerDef& d = defs[i];
-    auto resolve = [&](int idx) {
-      return static_cast<std::size_t>(
-          idx < 0 ? static_cast<long>(i) + idx : static_cast<long>(idx));
-    };
     switch (d.type) {
       case LayerType::Convolutional: {
         const int kdim = cur * d.size * d.size;
@@ -91,7 +87,7 @@ YoloWeights YoloWeights::random(const std::vector<LayerDef>& defs, int in_c,
       }
       case LayerType::Route: {
         int sum = 0;
-        for (int idx : d.layers) sum += dims[resolve(idx)].c;
+        for (int idx : d.layers) sum += dims[resolve_ref(i, idx)].c;
         cur = sum;
         break;
       }
@@ -176,10 +172,6 @@ std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
   Dim cd{in_c_, in_h_, in_w_};
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     const LayerDef& d = defs_[i];
-    auto resolve = [&](int idx) {
-      return static_cast<std::size_t>(
-          idx < 0 ? static_cast<long>(i) + idx : static_cast<long>(idx));
-    };
     switch (d.type) {
       case LayerType::Convolutional: {
         const nn::ConvGeom g{cd.c, cd.h, cd.w, d.filters,
@@ -194,9 +186,8 @@ std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
       case LayerType::Route: {
         Dim nd{0, 0, 0};
         for (int idx : d.layers) {
-          nd.c += dims[resolve(idx)].c;
-          nd.h = dims[resolve(idx)].h;
-          nd.w = dims[resolve(idx)].w;
+          const Dim& r = dims[resolve_ref(i, idx)];
+          nd = {nd.c + r.c, r.h, r.w};
         }
         cd = nd;
         break;
@@ -308,7 +299,7 @@ YoloPipelineResult YoloRunner::run_pipelined(
     ring.drain(wait);
   }
 
-  out.pipeline = run.close(out.timeline, "yolo.frame", [&](std::size_t i) {
+  out.pipeline = run.close("yolo.frame", [&](std::size_t i) {
     return out.frames[i].frame_wall_seconds() * 1e3;
   });
   return out;
@@ -332,15 +323,11 @@ YoloRunResult YoloRunner::run_frame(
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     last_use[i] = i;
     const LayerDef& d = defs_[i];
-    auto resolve = [&](int idx) {
-      return static_cast<std::size_t>(
-          idx < 0 ? static_cast<long>(i) + idx : static_cast<long>(idx));
-    };
     if (d.type == LayerType::Shortcut) {
-      last_use[resolve(d.from)] = i;
+      last_use[resolve_ref(i, d.from)] = i;
     } else if (d.type == LayerType::Route) {
       for (int idx : d.layers) {
-        last_use[resolve(idx)] = i;
+        last_use[resolve_ref(i, idx)] = i;
       }
     }
     if (d.type == LayerType::Yolo) {
@@ -380,10 +367,6 @@ YoloRunResult YoloRunner::run_frame(
       layer_sp.u64("index", i);
       layer_sp.str("type", layer_type_name(d.type));
     }
-    auto resolve = [&](int idx) {
-      return static_cast<std::size_t>(
-          idx < 0 ? static_cast<long>(i) + idx : static_cast<long>(idx));
-    };
 
     runtime::HostTimer ht;
     if (d.type == LayerType::Convolutional) {
@@ -458,7 +441,7 @@ YoloRunResult YoloRunner::run_frame(
       ht.start();
       switch (d.type) {
         case LayerType::Shortcut: {
-          const auto& other = out.outputs[resolve(d.from)];
+          const auto& other = out.outputs[resolve_ref(i, d.from)];
           std::vector<std::int16_t> sum(cur.size());
           nn::shortcut_q16(cur, other, sum);
           cur = std::move(sum);
@@ -468,7 +451,7 @@ YoloRunResult YoloRunner::run_frame(
           std::vector<std::int16_t> cat;
           Dim nd{0, 0, 0};
           for (int idx : d.layers) {
-            const auto li = resolve(idx);
+            const auto li = resolve_ref(i, idx);
             cat.insert(cat.end(), out.outputs[li].begin(),
                        out.outputs[li].end());
             nd.c += dims[li].c;
@@ -555,10 +538,6 @@ std::vector<LayerStats> YoloRunner::estimate(
     const LayerDef& d = defs[i];
     LayerStats ls;
     ls.type = d.type;
-    auto resolve = [&](int idx) {
-      return static_cast<std::size_t>(
-          idx < 0 ? static_cast<long>(i) + idx : static_cast<long>(idx));
-    };
     switch (d.type) {
       case LayerType::Convolutional: {
         const nn::ConvGeom g{cd.c, cd.h, cd.w, d.filters,
@@ -578,9 +557,8 @@ std::vector<LayerStats> YoloRunner::estimate(
       case LayerType::Route: {
         Dim nd{0, 0, 0};
         for (int idx : d.layers) {
-          nd.c += dims[resolve(idx)].c;
-          nd.h = dims[resolve(idx)].h;
-          nd.w = dims[resolve(idx)].w;
+          const Dim& r = dims[resolve_ref(i, idx)];
+          nd = {nd.c + r.c, r.h, r.w};
         }
         cd = nd;
         break;

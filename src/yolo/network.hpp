@@ -26,11 +26,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "obs/timeline.hpp"
 #include "runtime/banked_executor.hpp"
 #include "runtime/dpu_set.hpp"
 #include "runtime/pipeline.hpp"
@@ -127,12 +125,9 @@ struct YoloRunResult {
 struct YoloPipelineResult {
   /// Per-frame results, bit-identical to serial `run` calls.
   std::vector<YoloRunResult> frames;
-  /// Modeled overlapped timeline vs. the serial equivalent.
+  /// Modeled overlapped timeline vs. the serial equivalent, and its
+  /// lane attribution.
   runtime::PipelineStats pipeline;
-  /// Independent reconstruction of the same schedule from the emitted
-  /// `pipe.stage` spans — present only when tracing was enabled for the
-  /// run. Disagreement with `pipeline` is recorded as obs.drift.*.
-  std::optional<obs::TimelineReport> timeline;
 };
 
 /// Network executor bound to a config and weights.

@@ -267,5 +267,24 @@ TEST(Error, RequireThrowsUsageError) {
   EXPECT_THROW(require(false, "nope"), UsageError);
 }
 
+TEST(Error, RequireCarriesItsMessageThroughBothOverloads) {
+  // A literal takes the const char* overload, a built message the
+  // std::string one; either failure reports the message unchanged.
+  try {
+    require(false, "literal message");
+    ADD_FAILURE() << "require(false, literal) returned";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "literal message");
+  }
+  const std::string built = "layer " + std::to_string(3) + ": bad";
+  EXPECT_NO_THROW(require(true, built));
+  try {
+    require(false, built);
+    ADD_FAILURE() << "require(false, string) returned";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), built);
+  }
+}
+
 } // namespace
 } // namespace pimdnn

@@ -174,6 +174,111 @@ TEST(Pipeline, EmptyModelHasNeutralStats) {
   EXPECT_DOUBLE_EQ(s.overlap_efficiency(), 0.0);
 }
 
+/// Two items on separate banks, host+xfer+dpu each. Hand-checked greedy
+/// earliest-fit schedule:
+///   item0: host [0,1)      xfer(b0) [1,1.5)   dpu(b0) [1.5,3.5)
+///   item1: host [1.5,2.5)  xfer(b1) [2.5,3)   dpu(b1) [3,5)
+/// (item1's host stage waits for the host lane, which the item0 transfer
+/// occupies until 1.5.)
+PipelineStats two_item_schedule() {
+  PipelineModel model(2);
+  model.host_stage(0, 1.0);
+  model.xfer_stage(0, 0, 0.5);
+  model.dpu_stage(0, 0, 2.0);
+  model.host_stage(1, 1.0);
+  model.xfer_stage(1, 1, 0.5);
+  model.dpu_stage(1, 1, 2.0);
+  return model.stats();
+}
+
+TEST(Pipeline, HandBuiltScheduleMatchesEarliestFit) {
+  const PipelineStats rep = two_item_schedule();
+  EXPECT_EQ(rep.items, 2u);
+  EXPECT_DOUBLE_EQ(rep.makespan_seconds, 5.0);
+  EXPECT_DOUBLE_EQ(rep.serial_seconds, 7.0);
+  EXPECT_NEAR(rep.overlap_efficiency(), 1.0 - 5.0 / 7.0, 1e-12);
+
+  ASSERT_EQ(rep.lanes.size(), 4u); // host, link, bank0, bank1
+  EXPECT_EQ(rep.lanes[0].name, "host");
+  EXPECT_DOUBLE_EQ(rep.lanes[0].busy_seconds, 3.0); // 2 host + 2 xfers
+  EXPECT_DOUBLE_EQ(rep.lanes[0].utilization, 0.6);
+  EXPECT_EQ(rep.lanes[1].name, "link");
+  EXPECT_DOUBLE_EQ(rep.lanes[1].busy_seconds, 1.0);
+  EXPECT_EQ(rep.lanes[2].name, "bank0");
+  EXPECT_DOUBLE_EQ(rep.lanes[2].busy_seconds, 2.5);
+  EXPECT_EQ(rep.lanes[3].name, "bank1");
+  EXPECT_DOUBLE_EQ(rep.lanes[3].busy_seconds, 2.5);
+
+  // The host lane (3.0s busy) out-occupies either bank (2.5s each) and
+  // its busy time is mostly compute (2.0 > 1.0 transferred), so the run
+  // is host-bound by 0.5s.
+  EXPECT_EQ(rep.critical_lane, "host");
+  EXPECT_DOUBLE_EQ(rep.critical_utilization, 0.6);
+  EXPECT_DOUBLE_EQ(rep.critical_margin_seconds, 0.5);
+
+  ASSERT_EQ(rep.per_frame.size(), 2u);
+  EXPECT_DOUBLE_EQ(rep.per_frame[0].host_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(rep.per_frame[0].xfer_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(rep.per_frame[0].dpu_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(rep.per_frame[0].latency_seconds, 3.5);
+  EXPECT_DOUBLE_EQ(rep.per_frame[1].latency_seconds, 3.5); // 1.5 -> 5.0
+}
+
+TEST(Pipeline, LinkAttributionWhenTransfersDominateHostLane) {
+  // Two banks; host compute is negligible next to the transfers, so the
+  // host lane is the busiest resource (it carries every transfer, each
+  // bank only half of them) and its busy time is transfer-dominated: the
+  // PrIM-style verdict must be "link", not "host".
+  PipelineModel model(2);
+  model.host_stage(0, 0.1);
+  model.xfer_stage(0, 0, 2.0);
+  model.dpu_stage(0, 0, 0.5);
+  model.host_stage(1, 0.1);
+  model.xfer_stage(1, 1, 2.0);
+  model.dpu_stage(1, 1, 0.5);
+  EXPECT_EQ(model.stats().critical_lane, "link");
+}
+
+TEST(Pipeline, BankBoundRunNamesTheBusiestBank) {
+  // Kernels dominate and bank1's is the longer one. Hand-checked schedule:
+  //   item0: host [0,0.125)    xfer(b0) [0.125,0.375)  dpu(b0) [0.375,1.375)
+  //   item1: host [0.375,0.5)  xfer(b1) [0.5,0.75)     dpu(b1) [0.75,3.75)
+  // (item1's host stage waits for the host lane behind item0's transfer.)
+  PipelineModel model(2);
+  model.host_stage(0, 0.125);
+  model.xfer_stage(0, 0, 0.25);
+  model.dpu_stage(0, 0, 1.0);
+  model.host_stage(1, 0.125);
+  model.xfer_stage(1, 1, 0.25);
+  model.dpu_stage(1, 1, 3.0);
+  const PipelineStats rep = model.stats();
+  EXPECT_DOUBLE_EQ(rep.makespan_seconds, 3.75);
+  ASSERT_EQ(rep.lanes.size(), 4u);
+  EXPECT_DOUBLE_EQ(rep.lanes[0].busy_seconds, 0.75); // host
+  EXPECT_DOUBLE_EQ(rep.lanes[2].busy_seconds, 1.25); // bank0
+  EXPECT_DOUBLE_EQ(rep.lanes[3].busy_seconds, 3.25); // bank1
+  EXPECT_EQ(rep.critical_lane, "bank1");
+  EXPECT_DOUBLE_EQ(rep.critical_utilization, 3.25 / 3.75);
+  // Margin over the runner-up, bank0, not over the host lane.
+  EXPECT_DOUBLE_EQ(rep.critical_margin_seconds, 2.0);
+  // An item's latency runs from its own first stage, not from time zero.
+  ASSERT_EQ(rep.per_frame.size(), 2u);
+  EXPECT_DOUBLE_EQ(rep.per_frame[0].latency_seconds, 1.375);
+  EXPECT_DOUBLE_EQ(rep.per_frame[1].latency_seconds, 3.375);
+}
+
+TEST(Pipeline, TwoInFlightFloorDelaysThirdItem) {
+  // item0 holds bank0 until t=2; item2 could start on the idle bank1 at
+  // t=1 (after item1) but the double-buffered executors only admit item i
+  // once item i-2 retired, so it starts at t=2.
+  PipelineModel model(2);
+  model.dpu_stage(0, 0, 2.0);
+  model.dpu_stage(1, 1, 1.0);
+  model.dpu_stage(2, 1, 1.0);
+  EXPECT_DOUBLE_EQ(model.stats().makespan_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(model.makespan(), 3.0);
+}
+
 // ---- async <-> sync parity -------------------------------------------------
 
 /// Executor tests run under both simulators: pipelined execution must be

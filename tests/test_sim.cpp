@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "sim/charges.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/dpu.hpp"
 #include "sim/memory.hpp"
@@ -382,6 +383,92 @@ TEST(Dpu, UnbalancedTaskletsBoundedBySlowest) {
   const auto stats = d.launch(4, OptLevel::O3);
   // Latency bound of tasklet 0 dominates: 11 * 1000.
   EXPECT_EQ(stats.cycles, 11000u);
+}
+
+// ---- the shared charge record (sim/charges.hpp) ----------------------------
+
+/// Tasklet t's record: every count set, unbalanced across tasklets, and
+/// `dma` the cycles of the one MRAM read the kernel below issues.
+KernelCharges sample_charges(std::uint32_t t) {
+  KernelCharges c;
+  c.alu = 100 + 7 * t;
+  c.loops = 20 + t;
+  c.slots = 12 * t;
+  c.mul16 = 5 + t;
+  c.mul32 = 3;
+  c.call(Subroutine::AddSF3, 2 + t);
+  c.call(Subroutine::MulDF3, 1);
+  c.dma = CostModel::dma_cycles(64 * (t + 1));
+  return c;
+}
+
+/// A kernel whose phase 0 applies tasklet t's record and issues the real
+/// DMA the record's `dma` counts; later phases only cross barriers.
+DpuProgram record_kernel(std::uint32_t phases, std::uint64_t barriers) {
+  DpuProgram p = trivial_program([barriers](TaskletCtx& ctx) {
+    if (ctx.phase() != 0) {
+      return;
+    }
+    KernelCharges c = sample_charges(ctx.id());
+    c.barriers = barriers;
+    apply_counts(ctx, c);
+    std::uint8_t buf[1024];
+    ctx.mram_read(buf, ctx.mram_addr("buf"), 64 * (ctx.id() + 1));
+  });
+  p.phases = phases;
+  return p;
+}
+
+TEST(Charges, ApplyCountsChargesWhatPricedWallPrices) {
+  // The twin applies a record and the estimator prices the same record:
+  // the launch's wall must equal the estimate exactly, at both -O levels
+  // (mul16 collapses to hardware only under optimization) and on either
+  // side of the 11-tasklet pipeline saturation.
+  for (OptLevel opt : {OptLevel::O0, OptLevel::O3}) {
+    for (std::uint32_t tasklets : {1u, 5u, 16u}) {
+      Dpu d;
+      d.load(record_kernel(1, 0));
+      const DpuRunStats stats = d.launch(tasklets, opt);
+      EXPECT_EQ(stats.cycles,
+                priced_wall(tasklets, opt, d.config(), sample_charges))
+          << "tasklets=" << tasklets;
+      EXPECT_EQ(stats.profile.occurrences(Subroutine::AddSF3),
+                2u * tasklets + tasklets * (tasklets - 1) / 2);
+      EXPECT_EQ(stats.profile.occurrences(Subroutine::MulDF3), tasklets);
+    }
+  }
+}
+
+TEST(Charges, BarriersArePricedAsLaunchChargesPhaseBoundaries) {
+  // A kernel with B barriers runs B + 1 phases, and Dpu::launch charges
+  // every tasklet barrier_stmt() at each boundary: apply_counts must not
+  // charge the record's barriers again, and priced_wall must price them.
+  for (OptLevel opt : {OptLevel::O0, OptLevel::O3}) {
+    const std::uint32_t tasklets = 16;
+    const std::uint64_t barriers = 3;
+    Dpu d;
+    d.load(record_kernel(barriers + 1, barriers));
+    const DpuRunStats stats = d.launch(tasklets, opt);
+    const auto with_barriers = [barriers](std::uint32_t t) {
+      KernelCharges c = sample_charges(t);
+      c.barriers = barriers;
+      return c;
+    };
+    EXPECT_EQ(stats.cycles,
+              priced_wall(tasklets, opt, d.config(), with_barriers));
+
+    // The same record applied in a single-phase launch charges no
+    // barrier: its `barriers` count is the launch's to charge.
+    Dpu flat;
+    flat.load(record_kernel(1, barriers));
+    const DpuRunStats flat_stats = flat.launch(tasklets, opt);
+    EXPECT_EQ(flat_stats.cycles,
+              priced_wall(tasklets, opt, flat.config(), sample_charges));
+    EXPECT_EQ(stats.total_slots,
+              flat_stats.total_slots +
+                  barriers * tasklets * CostModel(opt).barrier_stmt());
+    EXPECT_GT(stats.cycles, flat_stats.cycles);
+  }
 }
 
 TEST(Config, Table21Attributes) {

@@ -117,6 +117,45 @@ TEST(Config, SummarizeRejectsBadTopology) {
   EXPECT_THROW(summarize(defs, 3, 32, 32), UsageError);
 }
 
+TEST(Config, ResolveRefCountsBackAndRejectsUnbuiltLayers) {
+  // Negative references count back from the referring layer, others are
+  // absolute; only an earlier layer resolves.
+  EXPECT_EQ(resolve_ref(5, -1), 4u);
+  EXPECT_EQ(resolve_ref(5, -5), 0u);
+  EXPECT_EQ(resolve_ref(5, 0), 0u);
+  EXPECT_EQ(resolve_ref(5, 4), 4u);
+  for (int bad : {-6, 5, 7}) {
+    try {
+      resolve_ref(5, bad);
+      ADD_FAILURE() << "reference " << bad << " resolved";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "layer 5: reference " + std::to_string(bad)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(resolve_ref(0, -1), UsageError); // the first layer has none
+}
+
+TEST(Config, RandomWeightsRejectForwardRouteReference) {
+  // A route at layer 1 naming layer 5 refers past every built layer.
+  std::vector<LayerDef> defs(2);
+  defs[0].filters = 4;
+  defs[0].size = 3;
+  defs[0].pad = 1;
+  defs[1].type = LayerType::Route;
+  defs[1].layers = {5};
+  EXPECT_THROW(YoloWeights::random(defs, 3, 1), UsageError);
+  try {
+    YoloWeights::random(defs, 3, 1);
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("layer 1: reference 5"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Config, SummarizeRejectsShapeMismatchShortcut) {
   auto defs = yolov3_lite_config();
   LayerDef sc;
