@@ -64,19 +64,15 @@ void PipelineModel::book(std::size_t item, Kind kind, unsigned bank,
   require(1 + bank < lanes_.size(), "PipelineModel: bank out of range");
   std::lock_guard<std::mutex> lk(mu_);
   Item& it = item_at(item);
-  serial_ += duration;
   switch (kind) {
     case Kind::Host:
       it.host += duration;
-      host_busy_ += duration;
       break;
     case Kind::Xfer:
       it.xfer += duration;
-      host_busy_ += duration;
       break;
     case Kind::Dpu:
       it.dpu += duration;
-      dpu_busy_ += duration;
       break;
   }
   Seconds start = it.ready;
@@ -125,10 +121,9 @@ PipelineStats PipelineModel::stats() const {
   PipelineStats s;
   s.items = items_.size();
   s.makespan_seconds = makespan_;
-  s.serial_seconds = serial_;
-  s.host_seconds = host_busy_;
-  s.dpu_seconds = dpu_busy_;
 
+  // Totals add the per-item totals in item order, so they do not depend
+  // on the order in which concurrent threads booked the stages.
   Seconds host_compute = 0.0;
   Seconds link = 0.0;
   s.per_frame.reserve(items_.size());
@@ -142,16 +137,19 @@ PipelineStats PipelineModel::stats() const {
     s.per_frame.push_back(f);
     host_compute += it.host;
     link += it.xfer;
+    s.dpu_seconds += it.dpu;
+    s.serial_seconds += it.host + it.xfer + it.dpu;
   }
+  s.host_seconds = host_compute + link;
 
   const auto lane = [span = makespan_](std::string name, Seconds busy) {
     return LaneUsage{std::move(name), busy, span > 0.0 ? busy / span : 0.0};
   };
-  s.lanes.push_back(lane("host", host_busy_));
+  s.lanes.push_back(lane("host", s.host_seconds));
   s.lanes.push_back(lane("link", link));
   // The bound is the busiest of the schedule's real resources: the host
   // lane against each bank (its transfers and kernels, as booked).
-  Seconds best = host_busy_;
+  Seconds best = s.host_seconds;
   Seconds second = 0.0;
   s.critical_lane = "host";
   for (std::size_t b = 0; b + 1 < lanes_.size(); ++b) {

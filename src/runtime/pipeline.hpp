@@ -28,14 +28,18 @@
 // Scheduling is greedy earliest-fit over per-resource busy-interval lists:
 // a stage starts at the earliest time >= its item's readiness at which
 // every resource it needs is free for the whole duration, so a later item
-// backfills the host-lane gaps an earlier item's DPU phase left open. The
-// schedule therefore depends only on each item's own stage order (enforced
-// by the executors' program order), not on how the reporting threads
-// interleaved — on a single-core host, where the double-buffered drivers
-// degrade to serial real execution, the modeled overlap is identical to
-// what a many-core host reports. One structural constraint of the
-// double-buffered executors is kept: item i never starts before item i-2
-// finished (at most two in flight).
+// backfills the host-lane gaps an earlier item's DPU phase left open. A
+// stage is placed when it is reported, so where it lands depends on the
+// order in which concurrent threads report: two items of 1 s host + 5 s
+// bank-0 kernel and 2 s host + 1 s bank-1 kernel give a makespan of 6 s
+// when the first item's host stage books first and 8 s when the second's
+// does. The stage totals do not depend on that order: serial_seconds,
+// host_seconds, dpu_seconds, each item's totals and the host and link
+// lanes add each item's stages in its program order (enforced by the
+// executors), then the items in item order. A run that reports from one
+// thread reports in program order, so its whole schedule is fixed. One
+// structural constraint of the double-buffered executors is kept: item i
+// never starts before item i-2 finished (at most two in flight).
 //
 // The booked intervals are also the run's one report: stats() attributes
 // the schedule to its lanes (busy time of the host lane, the transfer link
@@ -107,7 +111,8 @@ struct PipelineStats {
 
 /// Thread-safe timeline builder (see file comment). An item's stages must
 /// be reported in its program order; stages of different items may be
-/// reported in any interleaving without changing the schedule.
+/// reported in any interleaving, which keeps the stage totals but may move
+/// the placement.
 class PipelineModel {
 public:
   /// `n_banks` independent DPU lanes (2 for the double-buffered pipelines).
@@ -160,9 +165,6 @@ private:
   /// lanes_[0] is the host lane; lanes_[1 + b] is bank b.
   std::vector<std::vector<Busy>> lanes_;
   std::vector<Item> items_;
-  Seconds serial_ = 0.0;
-  Seconds host_busy_ = 0.0; ///< host compute + transfers
-  Seconds dpu_busy_ = 0.0;
   Seconds makespan_ = 0.0;
 };
 

@@ -1,7 +1,6 @@
 #include "yolo/config.hpp"
 
 #include "common/error.hpp"
-#include "nn/im2col.hpp"
 
 namespace pimdnn::yolo {
 
@@ -59,6 +58,14 @@ void residual(std::vector<LayerDef>& v, int filters) {
   v.push_back(conv(filters / 2, 1, 1));
   v.push_back(conv(filters, 3, 1));
   v.push_back(shortcut(-3));
+}
+
+/// Throws UsageError "layer <layer>: <what>" unless `ok`; a passing check
+/// builds no string.
+void check_layer(bool ok, std::size_t layer, const char* what) {
+  if (!ok) {
+    throw UsageError("layer " + std::to_string(layer) + ": " + what);
+  }
 }
 
 } // namespace
@@ -192,69 +199,90 @@ std::size_t resolve_ref(std::size_t layer, int ref) {
   return static_cast<std::size_t>(abs);
 }
 
-ConfigSummary summarize(const std::vector<LayerDef>& defs, int in_c, int in_h,
-                        int in_w) {
-  ConfigSummary s;
-  struct Dim {
-    int c, h, w;
-  };
-  std::vector<Dim> dims;
-  Dim cur{in_c, in_h, in_w};
+std::vector<LayerShape> layer_shapes(const std::vector<LayerDef>& defs,
+                                     int in_c, int in_h, int in_w) {
+  std::vector<LayerShape> shapes;
+  shapes.reserve(defs.size());
+  Shape cur{in_c, in_h, in_w};
   for (std::size_t i = 0; i < defs.size(); ++i) {
     const LayerDef& d = defs[i];
+    check_layer(cur.c >= 1 && cur.h >= 1 && cur.w >= 1, i,
+                "input shape is not positive");
+    LayerShape ls;
+    ls.in = cur;
     switch (d.type) {
-      case LayerType::Convolutional: {
-        nn::ConvGeom g{cur.c, cur.h, cur.w, d.filters,
-                       d.size, d.stride, d.pad};
-        require(g.out_h() > 0 && g.out_w() > 0,
-                "layer " + std::to_string(i) + ": degenerate output");
-        s.total_macs += g.macs();
-        cur = {d.filters, g.out_h(), g.out_w()};
-        ++s.conv_layers;
+      case LayerType::Convolutional:
+        check_layer(d.filters >= 1 && d.size >= 1 && d.stride >= 1 &&
+                        d.pad >= 0,
+                    i, "conv needs filters, size and stride >= 1, pad >= 0");
+        ls.conv = {cur.c, cur.h, cur.w, d.filters, d.size, d.stride, d.pad};
+        check_layer(ls.conv.out_h() > 0 && ls.conv.out_w() > 0, i,
+                    "degenerate output");
+        cur = {d.filters, ls.conv.out_h(), ls.conv.out_w()};
         break;
-      }
-      case LayerType::Shortcut: {
-        const Dim& other = dims[resolve_ref(i, d.from)];
-        require(other.c == cur.c && other.h == cur.h && other.w == cur.w,
-                "layer " + std::to_string(i) + ": shortcut shape mismatch");
-        ++s.shortcut_layers;
+      case LayerType::Shortcut:
+        check_layer(shapes[resolve_ref(i, d.from)].out == cur, i,
+                    "shortcut shape mismatch");
         break;
-      }
       case LayerType::Route: {
-        require(!d.layers.empty(), "route with no layers");
-        Dim out{0, 0, 0};
+        check_layer(!d.layers.empty(), i, "route with no layers");
+        Shape out;
         for (int idx : d.layers) {
-          const Dim& other = dims[resolve_ref(i, idx)];
-          if (out.c == 0) {
-            out = other;
-          } else {
-            require(other.h == out.h && other.w == out.w,
-                    "layer " + std::to_string(i) +
-                        ": route spatial mismatch");
-            out.c += other.c;
-          }
+          const Shape& other = shapes[resolve_ref(i, idx)].out;
+          check_layer(out.c == 0 || (other.h == out.h && other.w == out.w),
+                      i, "route spatial mismatch");
+          out = {out.c + other.c, other.h, other.w};
         }
         cur = out;
-        ++s.route_layers;
         break;
       }
       case LayerType::Upsample:
         cur.h *= 2;
         cur.w *= 2;
-        ++s.upsample_layers;
         break;
       case LayerType::Maxpool:
+        check_layer(d.size >= 1 && d.stride >= 1, i,
+                    "maxpool needs size and stride >= 1");
         // Darknet maxpool geometry: ceil division (stride-1 pools with
         // edge padding keep the map size).
         cur.h = (cur.h + d.stride - 1) / d.stride;
         cur.w = (cur.w + d.stride - 1) / d.stride;
+        break;
+      case LayerType::Yolo:
+        break;
+    }
+    ls.out = cur;
+    shapes.push_back(ls);
+  }
+  return shapes;
+}
+
+ConfigSummary summarize(const std::vector<LayerDef>& defs, int in_c, int in_h,
+                        int in_w) {
+  const std::vector<LayerShape> shapes = layer_shapes(defs, in_c, in_h, in_w);
+  ConfigSummary s;
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    switch (defs[i].type) {
+      case LayerType::Convolutional:
+        s.total_macs += shapes[i].conv.macs();
+        ++s.conv_layers;
+        break;
+      case LayerType::Shortcut:
+        ++s.shortcut_layers;
+        break;
+      case LayerType::Route:
+        ++s.route_layers;
+        break;
+      case LayerType::Upsample:
+        ++s.upsample_layers;
+        break;
+      case LayerType::Maxpool:
         ++s.maxpool_layers;
         break;
       case LayerType::Yolo:
         ++s.yolo_layers;
         break;
     }
-    dims.push_back(cur);
   }
   return s;
 }

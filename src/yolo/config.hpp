@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "nn/im2col.hpp"
+
 namespace pimdnn::yolo {
 
 /// Kinds of layers the runner understands.
@@ -42,6 +44,27 @@ struct LayerDef {
   std::vector<int> layers;
   // Yolo: anchor-box mask indices (informational).
   std::vector<int> mask;
+};
+
+/// Channels, height and width of one CHW activation tensor.
+struct Shape {
+  int c = 0;
+  int h = 0;
+  int w = 0;
+
+  /// Element count.
+  std::size_t size() const {
+    return static_cast<std::size_t>(c) * h * w;
+  }
+  bool operator==(const Shape&) const = default;
+};
+
+/// One layer's place in the shape recurrence.
+struct LayerShape {
+  Shape in;  ///< the previous layer's output (the network input for layer 0)
+  Shape out; ///< this layer's output
+  /// A convolution's lowered GEMM (M x N x K, §4.2.3); zero elsewhere.
+  nn::ConvGeom conv{};
 };
 
 /// Static facts about a built configuration.
@@ -74,8 +97,17 @@ std::vector<LayerDef> yolov3_lite_config(int width_mult = 1,
 /// naming the layer and the reference, unless it is an earlier layer.
 std::size_t resolve_ref(std::size_t layer, int ref);
 
-/// Computes per-layer output shapes given input (c,h,w); validates that
-/// routes/shortcuts are resolvable; returns a summary including total MACs.
+/// Every layer's input and output shape for an (in_c, in_h, in_w) input:
+/// the one shape recurrence of a config, index-aligned with `defs`. Throws
+/// UsageError naming the layer when the topology is malformed: a
+/// non-positive input shape, a conv with filters, size or stride below 1
+/// or pad below 0, a conv with an empty output, a maxpool with size or
+/// stride below 1, an unresolvable route/shortcut reference, a shortcut
+/// whose shapes differ, or a route that is empty or mixes spatial sizes.
+std::vector<LayerShape> layer_shapes(const std::vector<LayerDef>& defs,
+                                     int in_c, int in_h, int in_w);
+
+/// Layer counts and total MACs over layer_shapes (which validates).
 ConfigSummary summarize(const std::vector<LayerDef>& defs, int in_c, int in_h,
                         int in_w);
 

@@ -53,6 +53,12 @@ void postprocess_conv(std::span<std::int16_t> conv_out, int m, int n,
       });
 }
 
+/// The GEMM kernel a DPU mode runs (CPU mode plans as the WRAM kernel).
+GemmVariant gemm_variant(ExecMode mode) {
+  return mode == ExecMode::DpuMram ? GemmVariant::MramResident
+                                   : GemmVariant::WramTiled;
+}
+
 } // namespace
 
 YoloWeights YoloWeights::random(const std::vector<LayerDef>& defs, int in_c,
@@ -61,11 +67,10 @@ YoloWeights YoloWeights::random(const std::vector<LayerDef>& defs, int in_c,
   YoloWeights w;
   w.conv.resize(defs.size());
 
-  // Track channel counts the same way the runner does, so K is right.
-  struct Dim {
-    int c;
-  };
-  std::vector<Dim> dims;
+  // Output channels of every layer, so each conv's K is right. Only
+  // channels: layer_shapes needs the spatial input size, which this
+  // signature does not carry.
+  std::vector<int> channels;
   int cur = in_c;
   for (std::size_t i = 0; i < defs.size(); ++i) {
     const LayerDef& d = defs[i];
@@ -87,7 +92,7 @@ YoloWeights YoloWeights::random(const std::vector<LayerDef>& defs, int in_c,
       }
       case LayerType::Route: {
         int sum = 0;
-        for (int idx : d.layers) sum += dims[resolve_ref(i, idx)].c;
+        for (int idx : d.layers) sum += channels[resolve_ref(i, idx)];
         cur = sum;
         break;
       }
@@ -97,7 +102,7 @@ YoloWeights YoloWeights::random(const std::vector<LayerDef>& defs, int in_c,
       case LayerType::Yolo:
         break;
     }
-    dims.push_back({cur});
+    channels.push_back(cur);
   }
   return w;
 }
@@ -110,11 +115,29 @@ YoloRunner::YoloRunner(std::vector<LayerDef> defs, YoloWeights weights,
       in_c_(in_c),
       in_h_(in_h),
       in_w_(in_w),
+      shapes_(layer_shapes(defs_, in_c, in_h, in_w)),
+      last_use_(defs_.size()),
       sys_(sys),
       banks_(sys) {
   require(weights_.conv.size() == defs_.size(),
           "weights/layer count mismatch");
-  summarize(defs_, in_c, in_h, in_w); // validates the topology
+  const std::size_t n = defs_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const LayerDef& d = defs_[i];
+    last_use_[i] = d.type == LayerType::Yolo || i + 1 == n ? n : i;
+    // A later reader extends a lifetime; a kept output stays kept.
+    const auto read = [&](int ref) {
+      std::size_t& last = last_use_[resolve_ref(i, ref)];
+      last = std::max(last, i);
+    };
+    if (d.type == LayerType::Shortcut) {
+      read(d.from);
+    } else if (d.type == LayerType::Route) {
+      for (int idx : d.layers) {
+        read(idx);
+      }
+    }
+  }
 }
 
 YoloRunResult YoloRunner::run(std::span<const std::int16_t> input,
@@ -131,11 +154,9 @@ sim::HostXferStats YoloRunner::pool_host_stats() const {
   return banks_.host_stats();
 }
 
-std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
+std::vector<map::MappingPlan> YoloRunner::layer_plans(
     const RunOptions& opts, std::uint32_t max_split) const {
-  const GemmVariant variant = opts.mode == ExecMode::DpuMram
-                                  ? GemmVariant::MramResident
-                                  : GemmVariant::WramTiled;
+  const GemmVariant variant = gemm_variant(opts.mode);
   // Health-aware capacity: both banks must run identical plans, so take
   // the tightest allocated pool's planning view. Epochs key the memo —
   // any capacity change (quarantine or reintegration) forces a re-plan.
@@ -165,46 +186,14 @@ std::vector<map::MappingPlan> YoloRunner::resolve_layer_plans(
   }
   obs::Metrics::instance().add("map.plan.miss");
   std::vector<map::MappingPlan> plans(defs_.size());
-  struct Dim {
-    int c, h, w;
-  };
-  std::vector<Dim> dims;
-  Dim cd{in_c_, in_h_, in_w_};
   for (std::size_t i = 0; i < defs_.size(); ++i) {
-    const LayerDef& d = defs_[i];
-    switch (d.type) {
-      case LayerType::Convolutional: {
-        const nn::ConvGeom g{cd.c, cd.h, cd.w, d.filters,
-                             d.size, d.stride, d.pad};
-        plans[i] = plan_gemm_mapping(g.gemm_m(), g.gemm_n(), g.gemm_k(),
-                                     variant, opts.opt, opts.n_tasklets,
-                                     opts.rows_per_dpu, limits, max_split,
-                                     sys_);
-        cd = {d.filters, g.out_h(), g.out_w()};
-        break;
-      }
-      case LayerType::Route: {
-        Dim nd{0, 0, 0};
-        for (int idx : d.layers) {
-          const Dim& r = dims[resolve_ref(i, idx)];
-          nd = {nd.c + r.c, r.h, r.w};
-        }
-        cd = nd;
-        break;
-      }
-      case LayerType::Upsample:
-        cd.h *= 2;
-        cd.w *= 2;
-        break;
-      case LayerType::Maxpool:
-        cd.h = (cd.h + d.stride - 1) / d.stride;
-        cd.w = (cd.w + d.stride - 1) / d.stride;
-        break;
-      case LayerType::Shortcut:
-      case LayerType::Yolo:
-        break;
+    if (defs_[i].type == LayerType::Convolutional) {
+      const nn::ConvGeom& g = shapes_[i].conv;
+      plans[i] = plan_gemm_mapping(g.gemm_m(), g.gemm_n(), g.gemm_k(),
+                                   variant, opts.opt, opts.n_tasklets,
+                                   opts.rows_per_dpu, limits, max_split,
+                                   sys_);
     }
-    dims.push_back(cd);
   }
   plan_cache_ = plans;
   plan_cache_key_ = std::move(key);
@@ -235,7 +224,7 @@ YoloRunResult YoloRunner::run(std::span<const std::int16_t> input,
   // bank is free for intra-layer splitting whenever the mapper predicts a
   // win (split plans only arise on a strict predicted improvement).
   const std::vector<map::MappingPlan> plans =
-      resolve_layer_plans(opts, map::kMaxSplitFactor);
+      layer_plans(opts, map::kMaxSplitFactor);
   reserve_bank(0, plans);
   if (std::any_of(plans.begin(), plans.end(),
                   [](const map::MappingPlan& p) { return p.split > 1; })) {
@@ -272,8 +261,8 @@ YoloPipelineResult YoloRunner::run_pipelined(
   // so layers stay unsplit; a single frame instead donates the idle second
   // bank to intra-layer splitting (the mapper decides per layer).
   runtime::PipelineRun run("yolo", "n_frames", frames.size());
-  const std::vector<map::MappingPlan> plans = resolve_layer_plans(
-      opts, frames.size() == 1 ? map::kMaxSplitFactor : 1);
+  const std::vector<map::MappingPlan> plans =
+      layer_plans(opts, frames.size() == 1 ? map::kMaxSplitFactor : 1);
   reserve_bank(0, plans);
   reserve_bank(1, plans);
 
@@ -315,28 +304,6 @@ YoloRunResult YoloRunner::run_frame(
   // frame item. Unsplit runs never advance it (cur_item == item
   // throughout, the historical attribution).
   std::size_t cur_item = item;
-  // Activation lifetimes: last_use[i] is the last layer whose route /
-  // shortcut consumes output i (i itself when nothing does); retain[i]
-  // marks outputs that must survive the whole frame regardless.
-  std::vector<std::size_t> last_use(defs_.size());
-  std::vector<char> retain(defs_.size(), opts.retain_all_outputs ? 1 : 0);
-  for (std::size_t i = 0; i < defs_.size(); ++i) {
-    last_use[i] = i;
-    const LayerDef& d = defs_[i];
-    if (d.type == LayerType::Shortcut) {
-      last_use[resolve_ref(i, d.from)] = i;
-    } else if (d.type == LayerType::Route) {
-      for (int idx : d.layers) {
-        last_use[resolve_ref(i, idx)] = i;
-      }
-    }
-    if (d.type == LayerType::Yolo) {
-      retain[i] = 1;
-    }
-  }
-  if (!defs_.empty()) {
-    retain[defs_.size() - 1] = 1;
-  }
 
   obs::Span frame_sp("yolo.frame", "pipeline");
   if (frame_sp.active()) {
@@ -351,15 +318,10 @@ YoloRunResult YoloRunner::run_frame(
           "YoloRunner::run_frame: DPU mode needs layer plans");
   Scratch& scratch = bank_scratch_[bank];
 
-  struct Dim {
-    int c, h, w;
-  };
-  std::vector<Dim> dims;
   std::vector<std::int16_t> cur(input.begin(), input.end());
-  Dim cd{in_c_, in_h_, in_w_};
-
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     const LayerDef& d = defs_[i];
+    const LayerShape& sh = shapes_[i];
     LayerStats ls;
     ls.type = d.type;
     obs::Span layer_sp("yolo.layer", "pipeline");
@@ -370,8 +332,7 @@ YoloRunResult YoloRunner::run_frame(
 
     runtime::HostTimer ht;
     if (d.type == LayerType::Convolutional) {
-      const nn::ConvGeom g{cd.c, cd.h, cd.w, d.filters,
-                           d.size, d.stride, d.pad};
+      const nn::ConvGeom& g = sh.conv;
       const int m = g.gemm_m();
       const int k = g.gemm_k();
       const int n = g.gemm_n();
@@ -397,27 +358,18 @@ YoloRunResult YoloRunner::run_frame(
                                conv_out);
         out.host_compute_seconds += ht.elapsed();
       } else {
-        const GemmVariant variant = opts.mode == ExecMode::DpuWram
-                                        ? GemmVariant::WramTiled
-                                        : GemmVariant::MramResident;
-        // A split layer runs its pre-resolved plan as chunks across both
-        // banks, chunk s on timeline item cur_item + s; any other layer
-        // plans against this bank's pool and runs as one chunk. The weight
-        // tag pins the layer's A rows in MRAM: frames after the first skip
-        // the scatter (the weights are bound at construction, so the
-        // version never changes).
-        runtime::DpuPool& pool = banks_.pool(bank);
-        const bool split = (*plans)[i].split > 1;
-        const map::MappingPlan plan =
-            split ? (*plans)[i]
-                  : plan_gemm_mapping(m, n, k, variant, opts.opt,
-                                      opts.n_tasklets, opts.rows_per_dpu,
-                                      map::pool_limits(pool), 1,
-                                      pool.config());
+        // A split plan runs as chunks across both banks, chunk s on
+        // timeline item cur_item + s; any other plan runs as one chunk on
+        // this bank. The weight tag pins the layer's A rows in MRAM: frames
+        // after the first skip the scatter (the weights are bound at
+        // construction, so the version never changes).
+        const map::MappingPlan& plan = (*plans)[i];
         GemmResult r = dpu_gemm_planned(
-            pool, split ? &banks_.pool(1 - bank) : nullptr, m, n, k,
-            cw.alpha, cw.w, scratch.cols, variant, plan, opts.opt,
-            "A/conv" + std::to_string(i), 0, model, cur_item, bank);
+            banks_.pool(bank),
+            plan.split > 1 ? &banks_.pool(1 - bank) : nullptr, m, n, k,
+            cw.alpha, cw.w, scratch.cols, gemm_variant(opts.mode), plan,
+            opts.opt, "A/conv" + std::to_string(i), 0, model, cur_item,
+            bank);
         conv_out = std::move(r.c);
         ls.dpus = r.dpus_used;
         ls.cycles = r.stats.wall_cycles;
@@ -436,7 +388,6 @@ YoloRunResult YoloRunner::run_frame(
         model->host_stage(cur_item, post_s);
       }
       cur = std::move(conv_out);
-      cd = {d.filters, g.out_h(), g.out_w()};
     } else {
       ht.start();
       switch (d.type) {
@@ -449,35 +400,24 @@ YoloRunResult YoloRunner::run_frame(
         }
         case LayerType::Route: {
           std::vector<std::int16_t> cat;
-          Dim nd{0, 0, 0};
           for (int idx : d.layers) {
-            const auto li = resolve_ref(i, idx);
-            cat.insert(cat.end(), out.outputs[li].begin(),
-                       out.outputs[li].end());
-            nd.c += dims[li].c;
-            nd.h = dims[li].h;
-            nd.w = dims[li].w;
+            const auto& src = out.outputs[resolve_ref(i, idx)];
+            cat.insert(cat.end(), src.begin(), src.end());
           }
           cur = std::move(cat);
-          cd = nd;
           break;
         }
         case LayerType::Upsample: {
-          std::vector<std::int16_t> up(cur.size() * 4);
-          nn::upsample2x<std::int16_t>(cd.c, cd.h, cd.w, cur, up);
+          std::vector<std::int16_t> up(sh.out.size());
+          nn::upsample2x<std::int16_t>(sh.in.c, sh.in.h, sh.in.w, cur, up);
           cur = std::move(up);
-          cd = {cd.c, cd.h * 2, cd.w * 2};
           break;
         }
         case LayerType::Maxpool: {
-          const int oh = (cd.h + d.stride - 1) / d.stride;
-          const int ow = (cd.w + d.stride - 1) / d.stride;
-          std::vector<std::int16_t> pooled(
-              static_cast<std::size_t>(cd.c) * oh * ow);
-          nn::maxpool2d_darknet<std::int16_t>(cd.c, cd.h, cd.w, d.size,
-                                              d.stride, cur, pooled);
+          std::vector<std::int16_t> pooled(sh.out.size());
+          nn::maxpool2d_darknet<std::int16_t>(sh.in.c, sh.in.h, sh.in.w,
+                                              d.size, d.stride, cur, pooled);
           cur = std::move(pooled);
-          cd = {cd.c, oh, ow};
           break;
         }
         case LayerType::Convolutional: // handled above
@@ -491,9 +431,9 @@ YoloRunResult YoloRunner::run_frame(
       }
     }
 
-    ls.out_c = cd.c;
-    ls.out_h = cd.h;
-    ls.out_w = cd.w;
+    ls.out_c = sh.out.c;
+    ls.out_h = sh.out.h;
+    ls.out_w = sh.out.w;
     ls.seconds = sys_.cycles_to_seconds(ls.cycles);
     if (layer_sp.active() && ls.cycles > 0) {
       layer_sp.u64("cycles", ls.cycles);
@@ -502,14 +442,13 @@ YoloRunResult YoloRunner::run_frame(
     out.total_cycles += ls.cycles;
     out.layers.push_back(ls);
     out.outputs.push_back(cur);
-    dims.push_back(cd);
 
     // Free activations whose last consumer has now run (route/shortcut
     // read earlier outputs, so an output must only survive until the last
     // layer that references it).
     if (!opts.retain_all_outputs) {
       for (std::size_t j = 0; j <= i; ++j) {
-        if (!retain[j] && last_use[j] <= i && !out.outputs[j].empty()) {
+        if (last_use_[j] <= i && !out.outputs[j].empty()) {
           std::vector<std::int16_t>().swap(out.outputs[j]);
         }
       }
@@ -523,64 +462,31 @@ std::vector<LayerStats> YoloRunner::estimate(
     const std::vector<LayerDef>& defs, int in_c, int in_h, int in_w,
     GemmVariant variant, std::uint32_t n_tasklets, runtime::OptLevel opt,
     int rows_per_dpu) {
-  summarize(defs, in_c, in_h, in_w); // validate
+  const std::vector<LayerShape> shapes = layer_shapes(defs, in_c, in_h, in_w);
   map::require_positive_rows(rows_per_dpu);
   std::vector<LayerStats> out;
   out.reserve(defs.size());
   const runtime::UpmemConfig& sys = sim::default_config();
-
-  struct Dim {
-    int c, h, w;
-  };
-  std::vector<Dim> dims;
-  Dim cd{in_c, in_h, in_w};
   for (std::size_t i = 0; i < defs.size(); ++i) {
-    const LayerDef& d = defs[i];
     LayerStats ls;
-    ls.type = d.type;
-    switch (d.type) {
-      case LayerType::Convolutional: {
-        const nn::ConvGeom g{cd.c, cd.h, cd.w, d.filters,
-                             d.size, d.stride, d.pad};
-        ls.macs = g.macs();
-        // ceil(M / rows_per_dpu) DPUs, each computing rows_per_dpu rows —
-        // reporting gemm_m() DPUs and per-row cycles regardless of the
-        // mapping was the historical bug this parameter fixes.
-        ls.dpus = static_cast<std::uint32_t>(
-            (g.gemm_m() + rows_per_dpu - 1) / rows_per_dpu);
-        ls.cycles = estimate_gemm_row_cycles(g.gemm_n(), g.gemm_k(), variant,
-                                             n_tasklets, opt, rows_per_dpu,
-                                             sys);
-        cd = {d.filters, g.out_h(), g.out_w()};
-        break;
-      }
-      case LayerType::Route: {
-        Dim nd{0, 0, 0};
-        for (int idx : d.layers) {
-          const Dim& r = dims[resolve_ref(i, idx)];
-          nd = {nd.c + r.c, r.h, r.w};
-        }
-        cd = nd;
-        break;
-      }
-      case LayerType::Upsample:
-        cd.h *= 2;
-        cd.w *= 2;
-        break;
-      case LayerType::Maxpool:
-        cd.h = (cd.h + d.stride - 1) / d.stride;
-        cd.w = (cd.w + d.stride - 1) / d.stride;
-        break;
-      case LayerType::Shortcut:
-      case LayerType::Yolo:
-        break;
+    ls.type = defs[i].type;
+    if (ls.type == LayerType::Convolutional) {
+      const nn::ConvGeom& g = shapes[i].conv;
+      ls.macs = g.macs();
+      // ceil(M / rows_per_dpu) DPUs, each computing rows_per_dpu rows —
+      // reporting gemm_m() DPUs and per-row cycles regardless of the
+      // mapping was the historical bug this parameter fixes.
+      ls.dpus = static_cast<std::uint32_t>(
+          (g.gemm_m() + rows_per_dpu - 1) / rows_per_dpu);
+      ls.cycles = estimate_gemm_row_cycles(g.gemm_n(), g.gemm_k(), variant,
+                                           n_tasklets, opt, rows_per_dpu,
+                                           sys);
     }
-    ls.out_c = cd.c;
-    ls.out_h = cd.h;
-    ls.out_w = cd.w;
+    ls.out_c = shapes[i].out.c;
+    ls.out_h = shapes[i].out.h;
+    ls.out_w = shapes[i].out.w;
     ls.seconds = sys.cycles_to_seconds(ls.cycles);
     out.push_back(ls);
-    dims.push_back(cd);
   }
   return out;
 }

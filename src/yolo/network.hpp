@@ -164,15 +164,17 @@ public:
   /// frames run so far (zero before the first DPU-mode frame).
   sim::HostXferStats pool_host_stats() const;
 
-  /// The per-layer mapping plans a run with these options would use
-  /// (benches/reports read the chosen rows/tasklets/split and predicted
-  /// breakdowns without executing the network). `max_split` as in
-  /// resolve_layer_plans: single-frame runs resolve with
-  /// map::kMaxSplitFactor, multi-frame pipelined runs with 1.
+  /// Each conv layer's mapping plan through `map::Mapper` (index-aligned
+  /// with defs(); other layers keep a default plan), fitted to the
+  /// tightest bank's healthy capacity. `run` and `run_pipelined` resolve
+  /// their plans here once per call, size the bank pools for them and run
+  /// every frame on them; benches read the chosen rows/tasklets/split and
+  /// predicted breakdowns without executing the network. `max_split > 1`
+  /// lets the mapper carve a layer's GEMM into that many dual-bank
+  /// sub-launches: single-frame runs pass map::kMaxSplitFactor, multi-frame
+  /// pipelined runs, which already overlap across frames, pass 1.
   std::vector<map::MappingPlan> layer_plans(const RunOptions& opts,
-                                            std::uint32_t max_split = 1) const {
-    return resolve_layer_plans(opts, max_split);
-  }
+                                            std::uint32_t max_split = 1) const;
 
   /// Analytic per-layer cycle estimates for this config at any input size,
   /// without computing the network (exact for the simulated kernels; used
@@ -201,17 +203,6 @@ private:
     std::vector<std::int16_t> cols;
   };
 
-  /// Resolves each conv layer's mapping plan through `map::Mapper` (index-
-  /// aligned with defs_; non-conv layers keep a default plan). Resolved
-  /// once per run so bank pools are sized for the chosen DPU counts and
-  /// every frame of a pipelined run uses identical plans. `max_split > 1`
-  /// lets the mapper carve a layer's GEMM into that many dual-bank
-  /// sub-launches — passed only when the run can execute them (single-
-  /// frame runs; multi-frame pipelined runs already overlap across frames
-  /// and keep every layer unsplit).
-  std::vector<map::MappingPlan> resolve_layer_plans(
-      const RunOptions& opts, std::uint32_t max_split = 1) const;
-
   /// Ensures bank `bank`'s pool exists and covers the widest layer of this
   /// config (so no mid-frame growth resets its program/residency cache).
   /// A split layer only ever holds ceil(n_dpus / split) DPUs per bank at
@@ -220,17 +211,17 @@ private:
                     const std::vector<map::MappingPlan>& plans) const;
 
   /// One frame through bank `bank` (its pool and im2col scratch); `plans`
-  /// (resolve_layer_plans, with the banks already sized for them) is null
-  /// in CPU mode. When `model` is non-null, each layer's stages are
-  /// reported to it as item `item` on lane `bank` (host: im2col/postprocess/
-  /// non-conv bodies; xfer: the GEMM's measured to-DPU + load and from-DPU
-  /// walls; dpu: the launch's simulated wall seconds).
+  /// (layer_plans, with the banks already sized for them) is null in CPU
+  /// mode. When `model` is non-null, each layer's stages are reported to
+  /// it as item `item` on lane `bank` (host: im2col/postprocess/non-conv
+  /// bodies; xfer: the GEMM's measured to-DPU + load and from-DPU walls;
+  /// dpu: the launch's simulated wall seconds).
   ///
-  /// Conv layers whose plan says `split > 1` run it through
-  /// dpu_gemm_planned across both banks; the model items then advance past
-  /// `item` so each chunk occupies its own slot of the overlapped
-  /// timeline. Other layers plan against the frame's bank and run as one
-  /// chunk on it.
+  /// Every conv layer runs its plan from `plans` and plans nothing itself.
+  /// A plan with `split > 1` runs as chunks across both banks, and the
+  /// model items then advance past `item` so each chunk occupies its own
+  /// slot of the overlapped timeline; any other plan runs as one chunk on
+  /// the frame's bank.
   YoloRunResult run_frame(std::span<const std::int16_t> input,
                           const RunOptions& opts,
                           runtime::PipelineModel* model, unsigned bank,
@@ -240,6 +231,12 @@ private:
   std::vector<LayerDef> defs_;
   YoloWeights weights_;
   int in_c_, in_h_, in_w_;
+  /// layer_shapes(defs_, in_c_, in_h_, in_w_), worked out once.
+  std::vector<LayerShape> shapes_;
+  /// Activation lifetimes: last_use_[i] is the last layer whose route or
+  /// shortcut reads output i (i itself when none does), and defs_.size()
+  /// for the outputs every run keeps (Yolo heads and the final layer).
+  std::vector<std::size_t> last_use_;
   runtime::UpmemConfig sys_;
   /// Ping/pong bank pools. `run` uses bank 0 (plus bank 1 for split
   /// layers); `run_pipelined` alternates both. Each holds its own cached
@@ -247,7 +244,7 @@ private:
   /// is logically const but warms the pools.
   mutable runtime::BankedExecutor banks_;
   mutable Scratch bank_scratch_[2];
-  /// resolve_layer_plans memo, keyed on the run options *and* the banks'
+  /// layer_plans memo, keyed on the run options *and* the banks'
   /// health epochs — quarantine and reintegration both bump an epoch, so
   /// plans re-fit the true healthy capacity after either transition
   /// (obs: map.plan.hit / map.plan.miss). Only touched on the dispatch

@@ -166,6 +166,37 @@ TEST(Pipeline, SameBankItemsSerialize) {
   EXPECT_DOUBLE_EQ(s.makespan_seconds, 8.0);
 }
 
+TEST(Pipeline, TotalsDoNotDependOnBookingOrder) {
+  // Item 0's 0.2 s and 0.3 s stages and item 1's 0.1 s stage, booked with
+  // item 1 last or in between: a running sum in booking order reads 0.6
+  // against 0.6000000000000001.
+  using Stage = void (*)(PipelineModel&, std::size_t, Seconds);
+  const Stage kinds[] = {
+      [](PipelineModel& m, std::size_t i, Seconds d) { m.host_stage(i, d); },
+      [](PipelineModel& m, std::size_t i, Seconds d) {
+        m.xfer_stage(i, 0, d);
+      },
+      [](PipelineModel& m, std::size_t i, Seconds d) {
+        m.dpu_stage(i, 0, d);
+      },
+  };
+  for (const Stage stage : kinds) {
+    PipelineModel last(2);
+    stage(last, 0, 0.2);
+    stage(last, 0, 0.3);
+    stage(last, 1, 0.1);
+    PipelineModel between(2);
+    stage(between, 0, 0.2);
+    stage(between, 1, 0.1);
+    stage(between, 0, 0.3);
+    const PipelineStats a = last.stats();
+    const PipelineStats b = between.stats();
+    EXPECT_EQ(a.dpu_seconds, b.dpu_seconds);
+    EXPECT_EQ(a.serial_seconds, b.serial_seconds);
+    EXPECT_EQ(a.host_seconds, b.host_seconds);
+  }
+}
+
 TEST(Pipeline, EmptyModelHasNeutralStats) {
   const PipelineStats s = PipelineModel(2).stats();
   EXPECT_EQ(s.items, 0u);

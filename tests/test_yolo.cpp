@@ -114,7 +114,111 @@ TEST(Config, SummarizeRejectsBadTopology) {
   sc.type = LayerType::Shortcut;
   sc.from = -3; // nothing before it
   defs.push_back(sc);
+  EXPECT_THROW(layer_shapes(defs, 3, 32, 32), UsageError);
   EXPECT_THROW(summarize(defs, 3, 32, 32), UsageError);
+}
+
+/// Expects layer_shapes, summarize and the runner's constructor to reject
+/// `defs` at input `in` with a UsageError whose message starts with `what`.
+void expect_rejected(const std::vector<LayerDef>& defs,
+                     const std::string& what, Shape in = {3, 16, 16}) {
+  const auto check = [&](const char* caller, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << caller << " accepted it; expected \"" << what << "\"";
+    } catch (const UsageError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(what, 0), 0u)
+          << caller << ": " << e.what();
+    }
+  };
+  check("layer_shapes", [&] { layer_shapes(defs, in.c, in.h, in.w); });
+  check("summarize", [&] { summarize(defs, in.c, in.h, in.w); });
+  YoloWeights w;
+  w.conv.resize(defs.size());
+  check("YoloRunner", [&] { YoloRunner(defs, w, in.c, in.h, in.w); });
+}
+
+/// A layer of `type` with the given geometry.
+LayerDef layer(LayerType type, int filters, int size, int stride, int pad) {
+  LayerDef d;
+  d.type = type;
+  d.filters = filters;
+  d.size = size;
+  d.stride = stride;
+  d.pad = pad;
+  return d;
+}
+
+/// A valid 4-filter 3x3 conv, then `second`.
+std::vector<LayerDef> conv_then(const LayerDef& second) {
+  return {layer(LayerType::Convolutional, 4, 3, 1, 1), second};
+}
+
+TEST(Config, RejectsNonPositiveInputShape) {
+  const auto defs = conv_then(layer(LayerType::Convolutional, 4, 1, 1, 0));
+  for (const Shape in : {Shape{0, 16, 16}, Shape{3, 0, 16}, Shape{3, 16, -1}}) {
+    expect_rejected(defs, "layer 0: input shape is not positive", in);
+  }
+}
+
+TEST(Config, RejectsMalformedConv) {
+  const std::string what = "layer 1: conv needs";
+  const LayerType conv = LayerType::Convolutional;
+  expect_rejected(conv_then(layer(conv, 0, 1, 1, 0)), what);  // filters
+  expect_rejected(conv_then(layer(conv, 4, 0, 1, 0)), what);  // size
+  expect_rejected(conv_then(layer(conv, 4, 1, 0, 0)), what);  // stride
+  expect_rejected(conv_then(layer(conv, 4, 1, 1, -1)), what); // pad
+}
+
+TEST(Config, RejectsMalformedMaxpool) {
+  const std::string what = "layer 1: maxpool needs";
+  expect_rejected(conv_then(layer(LayerType::Maxpool, 0, 0, 2, 0)), what);
+  expect_rejected(conv_then(layer(LayerType::Maxpool, 0, 2, 0, 0)), what);
+}
+
+TEST(Config, LayerShapesMatchRunAndEstimate) {
+  // Each layer's input is the previous output, and a CPU-mode run's
+  // layers and outputs carry the pass's output shapes.
+  const struct {
+    std::vector<LayerDef> defs;
+    int side;
+    Shape last;
+  } nets[] = {{yolov3_lite_config(1, 1), 64, {27, 8, 8}},
+              {yolov3_tiny_config(), 128, {255, 8, 8}}};
+  for (const auto& net : nets) {
+    const auto shapes = layer_shapes(net.defs, 3, net.side, net.side);
+    YoloRunner runner(net.defs, YoloWeights::random(net.defs, 3, 408), 3,
+                      net.side, net.side);
+    const auto r = runner.run(
+        make_synthetic_image(3, net.side, net.side, 5, 13), ExecMode::Cpu);
+    ASSERT_EQ(shapes.size(), r.layers.size());
+    Shape in{3, net.side, net.side};
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const LayerStats& ls = r.layers[i];
+      EXPECT_EQ(shapes[i].in, in) << "layer " << i;
+      EXPECT_EQ(shapes[i].out, (Shape{ls.out_c, ls.out_h, ls.out_w}))
+          << "layer " << i;
+      EXPECT_EQ(shapes[i].out.size(), r.outputs[i].size()) << "layer " << i;
+      in = shapes[i].out;
+    }
+    EXPECT_EQ(shapes.back().out, net.last);
+  }
+
+  // Full YOLOv3 at 416: the estimator reads the same shapes, and the three
+  // heads sit at /32, /16 and /8.
+  const auto defs = yolov3_config();
+  const auto shapes = layer_shapes(defs, 3, 416, 416);
+  const auto est = YoloRunner::estimate(defs, 3, 416, 416,
+                                        GemmVariant::WramTiled, 11,
+                                        OptLevel::O3);
+  ASSERT_EQ(shapes.size(), est.size());
+  for (std::size_t i = 0; i < est.size(); ++i) {
+    EXPECT_EQ(shapes[i].out, (Shape{est[i].out_c, est[i].out_h, est[i].out_w}))
+        << "layer " << i;
+  }
+  EXPECT_EQ(shapes[82].out, (Shape{255, 13, 13}));
+  EXPECT_EQ(shapes[94].out, (Shape{255, 26, 26}));
+  EXPECT_EQ(shapes[106].out, (Shape{255, 52, 52}));
 }
 
 TEST(Config, ResolveRefCountsBackAndRejectsUnbuiltLayers) {
@@ -162,6 +266,7 @@ TEST(Config, SummarizeRejectsShapeMismatchShortcut) {
   sc.type = LayerType::Shortcut;
   sc.from = 0; // layer 0 has a different channel count than the tail
   defs.push_back(sc);
+  EXPECT_THROW(layer_shapes(defs, 3, 64, 64), UsageError);
   EXPECT_THROW(summarize(defs, 3, 64, 64), UsageError);
 }
 
