@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "map/space.hpp"
 #include "obs/trace.hpp"
+#include "runtime/host_pool.hpp"
 #include "runtime/host_timer.hpp"
 #include "runtime/kernel_session.hpp"
 #include "sim/report.hpp"
@@ -260,6 +261,7 @@ void Offloader::finish_batch(const runtime::Chunk& c,
   const runtime::Chunk::Window w = c.window(b.items->size(), per_dpu);
   BatchStats& out = *b.out;
   out.split = static_cast<std::uint32_t>(c.count);
+  out.items_per_dpu = per_dpu;
   out.dpus_used += session.n_dpus();
 
   runtime::HostTimer ht;
@@ -288,10 +290,16 @@ void Offloader::finish_batch(const runtime::Chunk& c,
   const sim::HostXferStats gathered =
       sim::host_xfer_delta(c.pool.host_stats(), before);
 
+  // The tail's blocks run concurrently; each writes only its own items.
   ht.start();
-  for (std::size_t i = 0; i < w.count; ++i) {
-    b.hooks.tail(plan, w.first + i, slots.data() + i * stride);
-  }
+  const std::size_t blocks = (w.count + kTailBlock - 1) / kTailBlock;
+  runtime::HostPool::global().parallel_for(
+      static_cast<std::uint32_t>(blocks), [&](std::uint32_t k) {
+        const std::size_t first = k * kTailBlock;
+        b.hooks.tail(plan, w.first + first,
+                     std::min(kTailBlock, w.count - first),
+                     slots.data() + first * stride);
+      });
   const Seconds tail = ht.elapsed();
   out.host_tail_seconds += tail;
   const runtime::LaunchStats stats = session.finish();
@@ -336,10 +344,14 @@ runtime::PipelineStats Offloader::run_batches(
 Offloader::Bind<OffloadResult> Offloader::item_hooks(
     runtime::OptLevel opt) const {
   return [this, opt](const Items& items, OffloadResult& out) -> BatchHooks {
-    out.outputs.reserve(items.size());
-    const auto tail = [this, &out](const map::MappingPlan&, std::size_t,
-                                   const std::uint8_t* slot) {
-      out.outputs.emplace_back(slot, slot + item_out_bytes_);
+    out.outputs.resize(items.size());
+    const auto tail = [this, &out](const map::MappingPlan&, std::size_t first,
+                                   std::size_t count,
+                                   const std::uint8_t* slots) {
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::uint8_t* slot = slots + k * program_.out_stride;
+        out.outputs[first + k].assign(slot, slot + item_out_bytes_);
+      }
     };
     // The same program on one spare private DPU, `per_dpu` items at a
     // time, and the same tail over each output slot.
@@ -353,8 +365,8 @@ Offloader::Bind<OffloadResult> Offloader::item_hooks(
         spare.host_write(symbol, 0, padded.data(), padded.size());
       }
       std::vector<std::uint8_t> slot(program_.in_stride);
-      std::vector<std::uint8_t> result(program_.out_stride);
       const std::uint32_t per_dpu = plan.items_per_dpu;
+      std::vector<std::uint8_t> results(per_dpu * program_.out_stride);
       for (std::size_t base = 0; base < count; base += per_dpu) {
         const std::uint64_t chunk =
             std::min<std::size_t>(per_dpu, count - base);
@@ -367,11 +379,9 @@ Offloader::Bind<OffloadResult> Offloader::item_hooks(
         }
         spare.host_write("meta", 0, &chunk, sizeof(chunk));
         spare.launch(plan.n_tasklets, opt);
-        for (std::uint64_t s = 0; s < chunk; ++s) {
-          spare.host_read(program_.out_symbol, s * program_.out_stride,
-                          result.data(), program_.out_stride);
-          tail(plan, first + base + s, result.data());
-        }
+        spare.host_read(program_.out_symbol, 0, results.data(),
+                        chunk * program_.out_stride);
+        tail(plan, first + base, chunk, results.data());
       }
     };
     return {tail, on_spare};

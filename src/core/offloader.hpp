@@ -17,11 +17,13 @@
 //   * launching all DPUs in parallel and gathering results in item order.
 //
 // A client describes its batch program once (BatchProgram) and binds two
-// hooks to each batch (BatchHooks): its host tail over each gathered output
-// slot and its CPU fallback for a degraded chunk. The eBNN hosts are
-// clients, and so is the item-kernel path, where the kernel author writes
-// only the per-item computation against TaskletCtx. Each chunk is one
-// runtime::KernelSession over the offloader's persistent two-bank pool.
+// hooks to each batch (BatchHooks): its host tail over the gathered output
+// slots and its CPU fallback for a degraded chunk. The tail runs on the
+// host pool, kTailBlock items per call, so it writes only its items' slots
+// of a result the binder sized. The eBNN hosts are clients, and so is the
+// item-kernel path, where the kernel author writes only the per-item
+// computation against TaskletCtx. Each chunk is one runtime::KernelSession
+// over the offloader's persistent two-bank pool.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +88,8 @@ struct BatchStats {
   /// Sub-launches the batch was carved into (1 = the unsplit executor; >1
   /// when the mapper chose a dual-bank split plan).
   std::uint32_t split = 1;
+  /// Items per DPU of the batch's mapping plan.
+  std::uint32_t items_per_dpu = 0;
 };
 
 /// Result of an offloaded run.
@@ -93,6 +97,10 @@ struct OffloadResult : BatchStats {
   /// Per-item outputs, in submission order.
   std::vector<std::vector<std::uint8_t>> outputs;
 };
+
+/// Items one tail call covers: the engine runs a chunk's tail as blocks
+/// of this many items (the last may be shorter) on the host pool.
+inline constexpr std::size_t kTailBlock = 32;
 
 /// Result of a double-buffered multi-batch run.
 template <class Batch>
@@ -126,15 +134,20 @@ struct BatchProgram {
       kernel_cost;
 };
 
-/// A client's two hooks, bound to one batch run under `plan`; the engine
-/// times them as each chunk's host stage.
+/// A client's two hooks, bound to one batch run under `plan`, each over
+/// the batch items [first, first + count). Both write only those items'
+/// entries of the result, which the binder sized for the whole batch; the
+/// engine times them as each chunk's host stage.
 struct BatchHooks {
-  /// Host tail of batch item `i` over its gathered output slot.
-  std::function<void(const map::MappingPlan& plan, std::size_t i,
-                     const std::uint8_t* slot)>
+  /// Host tail over the items' gathered output slots, item first + k's at
+  /// `slots + k * out_stride`. The engine calls it for blocks of at most
+  /// kTailBlock items, concurrently on the host pool, so a tail writes no
+  /// state another block reads or writes; scratch is its own.
+  std::function<void(const map::MappingPlan& plan, std::size_t first,
+                     std::size_t count, const std::uint8_t* slots)>
       tail;
-  /// CPU path of a degraded chunk's items [first, first + count),
-  /// bit-identical to the kernel + tail.
+  /// CPU path of a degraded chunk's items, bit-identical to the kernel +
+  /// tail; the engine calls it once per degraded chunk.
   std::function<void(const map::MappingPlan& plan, std::size_t first,
                      std::size_t count)>
       fallback;
@@ -148,7 +161,8 @@ struct BatchHooks {
 class Offloader {
 public:
   using Items = std::vector<std::vector<std::uint8_t>>;
-  /// Binds a client's hooks to one batch's items and result.
+  /// Binds a client's hooks to one batch's items and result, and sizes
+  /// the result's per-item outputs for every item.
   template <class Result>
   using Bind = std::function<BatchHooks(const Items& items, Result& out)>;
 
@@ -247,13 +261,14 @@ private:
   runtime::Started start_batch(const runtime::Chunk& c, const Items& items,
                                const map::MappingPlan& plan,
                                runtime::OptLevel opt);
-  /// Waits for the launch, gathers and runs the client's tail (or its
-  /// fallback on a degraded launch), reporting kernel, gather and tail as
-  /// the chunk's stages.
+  /// Waits for the launch, gathers and runs the client's tail in
+  /// kTailBlock blocks on the host pool (or its fallback on a degraded
+  /// launch), reporting kernel, gather and tail as the chunk's stages.
   void finish_batch(const runtime::Chunk& c, runtime::Started& started,
                     const Batch& b, const map::MappingPlan& plan);
-  /// The item-kernel client's hooks: copy each output out of its slot, or
-  /// run the program on one spare private DPU, `per_dpu` items at a time.
+  /// The item-kernel client's hooks: copy each output out of its slot
+  /// into its pre-sized entry, or run the program on one spare private
+  /// DPU, `per_dpu` items at a time.
   Bind<OffloadResult> item_hooks(runtime::OptLevel opt) const;
 
   BatchProgram program_;

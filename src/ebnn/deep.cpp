@@ -184,16 +184,18 @@ DeepEbnnActivations DeepEbnnReference::infer(
 
   DeepEbnnActivations a;
   a.feature = std::move(map);
-  infer_tail(a.feature, a.probs, a.predicted);
+  std::vector<float> logits;
+  infer_tail(nn::bitpack_bits(a.feature), logits, a.probs, a.predicted);
   return a;
 }
 
-void DeepEbnnReference::infer_tail(const std::vector<int>& feature,
+void DeepEbnnReference::infer_tail(std::span<const std::uint32_t> feature,
+                                   std::vector<float>& logits,
                                    std::vector<float>& probs,
                                    int& predicted) const {
-  std::vector<float> logits(fc_.classes());
+  logits.resize(fc_.classes());
   fc_.logits(feature, logits);
-  probs.assign(logits.size(), 0.0f);
+  probs.resize(logits.size());
   nn::softmax(logits, probs);
   predicted = static_cast<int>(nn::argmax(probs));
 }
@@ -652,30 +654,31 @@ core::Offloader::Bind<DeepEbnnBatchResult> DeepEbnnHost::hooks() const {
   return [this](const std::vector<Image>& images,
                 DeepEbnnBatchResult& out) -> core::BatchHooks {
     const auto bits = static_cast<std::size_t>(deep_feature_bits(cfg_));
+    out.predicted.assign(images.size(), -1);
+    out.features = nn::BitMatrix(images.size(), bits);
     return {
-        [this, &out, bits](const map::MappingPlan& plan, std::size_t,
-                           const std::uint8_t* slot) {
-          // Unpack the packed feature bits, then FC + softmax.
-          out.images_per_dpu = plan.items_per_dpu;
-          std::vector<int> feature(bits);
-          for (std::size_t bit = 0; bit < feature.size(); ++bit) {
-            std::uint32_t word;
-            std::memcpy(&word, slot + bit / 32 * sizeof(word), sizeof(word));
-            feature[bit] = static_cast<int>((word >> (bit % 32)) & 1u);
-          }
+        [this, &out, bits](const map::MappingPlan&, std::size_t first,
+                           std::size_t count, const std::uint8_t* slots) {
+          // One block's scratch: a slot's words, the logits and the probs.
+          const MemSize stride = engine_.out_stride();
+          std::vector<std::uint32_t> words(stride / sizeof(std::uint32_t));
+          std::vector<float> logits;
           std::vector<float> probs;
-          int predicted = -1;
-          reference_.infer_tail(feature, probs, predicted);
-          out.predicted.push_back(predicted);
-          out.features.push_back(std::move(feature));
+          for (std::size_t k = 0; k < count; ++k) {
+            std::memcpy(words.data(), slots + k * stride, stride);
+            const std::span<std::uint32_t> row =
+                out.features.row_words(first + k);
+            nn::or_bits(words, bits, row, 0);
+            reference_.infer_tail(row, logits, probs,
+                                  out.predicted[first + k]);
+          }
         },
-        [this, &images, &out](const map::MappingPlan& plan,
-                              std::size_t first, std::size_t count) {
-          out.images_per_dpu = plan.items_per_dpu;
-          for (std::size_t i = 0; i < count; ++i) {
-            DeepEbnnActivations a = reference_.infer(images[first + i].data());
-            out.predicted.push_back(a.predicted);
-            out.features.push_back(std::move(a.feature));
+        [this, &images, &out](const map::MappingPlan&, std::size_t first,
+                              std::size_t count) {
+          for (std::size_t i = first; i < first + count; ++i) {
+            const DeepEbnnActivations a = reference_.infer(images[i].data());
+            out.predicted[i] = a.predicted;
+            out.features.set_row(i, a.feature);
           }
         }};
   };

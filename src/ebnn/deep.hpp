@@ -16,12 +16,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/offloader.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
 #include "ebnn/model.hpp"
+#include "nn/bitpack.hpp"
 
 namespace pimdnn::ebnn {
 
@@ -102,8 +104,11 @@ public:
   DeepEbnnActivations infer(const std::uint8_t* image) const;
 
   /// Runs only the host-side tail (FC + softmax) on the last block's
-  /// feature bits, as the host does with DPU results.
-  void infer_tail(const std::vector<int>& feature, std::vector<float>& probs,
+  /// feature bits, packed as nn::bitpack_bits packs them, as the host does
+  /// with DPU results; `logits` and `probs` are reusable scratch, resized
+  /// to the class count.
+  void infer_tail(std::span<const std::uint32_t> feature,
+                  std::vector<float>& logits, std::vector<float>& probs,
                   int& predicted) const;
 
 private:
@@ -115,9 +120,10 @@ private:
 
 /// Result of a batched deep-eBNN DPU run (core::BatchStats + outputs).
 struct DeepEbnnBatchResult : core::BatchStats {
+  /// Predicted class per image, in input order.
   std::vector<int> predicted;
-  std::vector<std::vector<int>> features;
-  std::uint32_t images_per_dpu = 0; ///< the mapping's images per DPU
+  /// The last block's feature bits, one row per image.
+  nn::BitMatrix features;
 };
 
 /// Result of a double-buffered multi-batch deep-eBNN run.
@@ -160,8 +166,8 @@ public:
   sim::HostXferStats pool_host_stats() const { return engine_.host_stats(); }
 
 private:
-  /// Binds the tail (unpack + FC + softmax per image) and the
-  /// reference-model fallback to a batch.
+  /// Sizes a batch's result and binds the tail (copy the feature bits +
+  /// FC + softmax per image) and the reference-model fallback to it.
   core::Offloader::Bind<DeepEbnnBatchResult> hooks() const;
 
   DeepEbnnConfig cfg_;

@@ -1,7 +1,7 @@
 #include "ebnn/host.hpp"
 
-#include <algorithm>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -60,42 +60,42 @@ EbnnHost::EbnnHost(const EbnnConfig& cfg, EbnnWeights weights, BnMode mode,
 core::Offloader::Bind<EbnnBatchResult> EbnnHost::hooks() const {
   return [this](const std::vector<Image>& images,
                 EbnnBatchResult& out) -> core::BatchHooks {
-    // The tail runs once per image, serially: its logits and probs are
-    // scratch it reuses across the batch.
+    out.predicted.assign(images.size(), -1);
+    out.features = nn::BitMatrix(
+        images.size(), static_cast<std::size_t>(cfg_.feature_bits()));
     return {
-        [this, &out, logits = std::vector<float>(),
-         probs = std::vector<float>()](const map::MappingPlan&, std::size_t,
-                                       const std::uint8_t* slot) mutable {
-          // Unpack the packed feature words, then FC + softmax.
+        [this, &out](const map::MappingPlan&, std::size_t first,
+                     std::size_t count, const std::uint8_t* slots) {
+          // One block's scratch: a slot's words, the logits and the probs.
           const auto ppf =
               static_cast<std::size_t>(cfg_.pool_h() * cfg_.pool_w());
-          std::vector<int> feature(
-              static_cast<std::size_t>(cfg_.feature_bits()));
-          for (std::size_t f = 0; f < static_cast<std::size_t>(cfg_.filters);
-               ++f) {
-            const std::uint8_t* row =
-                slot + f * layout_.words_per_filter * sizeof(std::uint32_t);
-            int* dst = feature.data() + f * ppf;
-            for (std::size_t p0 = 0; p0 < ppf; p0 += 32) {
-              std::uint32_t word;
-              std::memcpy(&word, row + p0 / 32 * sizeof(word), sizeof(word));
-              const std::size_t n = std::min<std::size_t>(32, ppf - p0);
-              for (std::size_t b = 0; b < n; ++b) {
-                dst[p0 + b] = static_cast<int>((word >> b) & 1u);
-              }
+          const std::size_t wpf = layout_.words_per_filter;
+          std::vector<std::uint32_t> words(layout_.result_stride /
+                                           sizeof(std::uint32_t));
+          std::vector<float> logits;
+          std::vector<float> probs;
+          for (std::size_t k = 0; k < count; ++k) {
+            // Each filter's bits start a fresh word in the slot; the
+            // feature row packs them back to back.
+            std::memcpy(words.data(), slots + k * layout_.result_stride,
+                        layout_.result_stride);
+            const std::span<std::uint32_t> row =
+                out.features.row_words(first + k);
+            for (std::size_t f = 0;
+                 f < static_cast<std::size_t>(cfg_.filters); ++f) {
+              nn::or_bits(std::span(words).subspan(f * wpf, wpf), ppf, row,
+                          f * ppf);
             }
+            reference_.infer_tail(row, logits, probs,
+                                  out.predicted[first + k]);
           }
-          int predicted = -1;
-          reference_.infer_tail(feature, logits, probs, predicted);
-          out.predicted.push_back(predicted);
-          out.features.push_back(std::move(feature));
         },
         [this, &images, &out](const map::MappingPlan&, std::size_t first,
                               std::size_t count) {
-          for (std::size_t i = 0; i < count; ++i) {
-            EbnnActivations a = reference_.infer(images[first + i].data());
-            out.predicted.push_back(a.predicted);
-            out.features.push_back(std::move(a.feature));
+          for (std::size_t i = first; i < first + count; ++i) {
+            const EbnnActivations a = reference_.infer(images[i].data());
+            out.predicted[i] = a.predicted;
+            out.features.set_row(i, a.feature);
           }
         }};
   };

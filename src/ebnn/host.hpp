@@ -3,13 +3,16 @@
 // Implements the thesis' many-images-per-DPU mapping (§4.1.3): the input
 // image batch is divided by 16 (images per DPU) to get the number of DPUs;
 // all DPUs run in parallel and finish at the max time of one DPU; then the
-// host parses each DPU's temporary results and serially runs the Softmax
-// tail per image.
+// host parses each DPU's temporary results and runs the Softmax tail per
+// image. The thesis' host runs that tail serially; here it runs on the
+// host pool (runtime::HostPool), core::kTailBlock images per task, and
+// the modeled host stage is its measured wall.
 //
 // The host is a core::Offloader client: it describes its program once
 // (the kernel, its image/result slots and the WRAM constants — conv
-// weights plus the BN LUT or float parameters) and supplies the
-// feature-unpack + FC + softmax tail and the reference-model fallback.
+// weights plus the BN LUT or float parameters) and supplies the tail
+// (repack the feature bits + FC + softmax) and the reference-model
+// fallback. Feature bits stay packed: one nn::BitMatrix row per image.
 // Warm batches re-send only the images + counts, and every batch's
 // host-side overhead lands in LaunchStats::host.
 //
@@ -29,6 +32,7 @@
 #include "ebnn/dpu_kernel.hpp"
 #include "ebnn/model.hpp"
 #include "map/plan.hpp"
+#include "nn/bitpack.hpp"
 
 namespace pimdnn::ebnn {
 
@@ -39,9 +43,10 @@ using Image = std::vector<std::uint8_t>;
 struct EbnnBatchResult : core::BatchStats {
   /// Predicted class per image, in input order.
   std::vector<int> predicted;
-  /// Feature bits per image (filters * pool_h * pool_w), as read from the
-  /// DPUs — exposed so tests can compare against the golden model.
-  std::vector<std::vector<int>> features;
+  /// Feature bits per image (filters * pool_h * pool_w), one row per
+  /// image, as read from the DPUs — exposed so tests can compare against
+  /// the golden model.
+  nn::BitMatrix features;
 };
 
 /// Result of a double-buffered multi-batch run.
@@ -84,8 +89,8 @@ public:
   sim::HostXferStats pool_host_stats() const { return engine_.host_stats(); }
 
 private:
-  /// Binds the tail (unpack + FC + softmax per image) and the
-  /// reference-model fallback to a batch.
+  /// Sizes a batch's result and binds the tail (repack + FC + softmax
+  /// per image) and the reference-model fallback to it.
   core::Offloader::Bind<EbnnBatchResult> hooks() const;
 
   EbnnConfig cfg_;

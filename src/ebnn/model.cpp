@@ -100,12 +100,12 @@ EbnnActivations EbnnReference::infer(const std::uint8_t* image) const {
     }
   }
 
-  // 5. Host tail: FC + softmax.
-  infer_tail(a.feature, a.logits, a.probs, a.predicted);
+  // 5. Host tail: FC + softmax over the packed feature bits.
+  infer_tail(nn::bitpack_bits(a.feature), a.logits, a.probs, a.predicted);
   return a;
 }
 
-void EbnnReference::infer_tail(const std::vector<int>& feature,
+void EbnnReference::infer_tail(std::span<const std::uint32_t> feature,
                                std::vector<float>& logits,
                                std::vector<float>& probs,
                                int& predicted) const {

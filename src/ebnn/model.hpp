@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -94,11 +95,16 @@ public:
   /// Runs the whole network on one 8-bit grayscale image (img_h*img_w).
   EbnnActivations infer(const std::uint8_t* image) const;
 
-  /// Runs only the host-side tail (FC + softmax) on a feature bitmap, as
-  /// the host does with DPU results (§4.1.3: the host "serially sends a
-  /// single image's processed result to the softmax layer for inference").
-  void infer_tail(const std::vector<int>& feature, std::vector<float>& logits,
-                  std::vector<float>& probs, int& predicted) const;
+  /// Runs only the host-side tail (FC + softmax) on one image's feature
+  /// bits, packed as nn::bitpack_bits packs them; `logits` and `probs` are
+  /// resized to the class count, so a caller that reuses them allocates
+  /// once. The thesis' host "serially sends a single image's processed
+  /// result to the softmax layer for inference" (§4.1.3); EbnnHost runs
+  /// this on the host pool instead, blocks of images at a time, and the
+  /// modeled host stage is the measured wall of those blocks.
+  void infer_tail(std::span<const std::uint32_t> feature,
+                  std::vector<float>& logits, std::vector<float>& probs,
+                  int& predicted) const;
 
   /// The bound configuration.
   const EbnnConfig& config() const { return cfg_; }

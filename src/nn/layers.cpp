@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "nn/bitpack.hpp"
 #include "nn/gemm.hpp"
 
 namespace pimdnn::nn {
@@ -72,10 +73,11 @@ using Lanes4u = std::uint32_t __attribute__((vector_size(16)));
 
 } // namespace
 
-void SignFc::logits(std::span<const int> feature,
+void SignFc::logits(std::span<const std::uint32_t> feature,
                     std::span<float> logits) const {
   static_assert(kLanes == 16, "SignFc::logits keeps four 4-lane sums");
-  require(feature.size() == features_ && logits.size() == classes_,
+  require(feature.size() == words_for_bits(features_) &&
+              logits.size() == classes_,
           "SignFc: feature or logit count mismatch");
   const std::uint32_t* w = wt_.data();
   for (std::size_t c0 = 0; c0 < classes_; c0 += kLanes) {
@@ -86,7 +88,8 @@ void SignFc::logits(std::span<const int> feature,
     Lanes4f a2{};
     Lanes4f a3{};
     for (std::size_t i = 0; i < features_; ++i, w += kLanes) {
-      const std::uint32_t f = feature[i] != 0 ? 0u : 0x80000000u;
+      // Bit 31 set for a clear feature bit.
+      const std::uint32_t f = ~feature[i / 32] >> (i % 32) << 31;
       const Lanes4u flip = {f, f, f, f};
       const auto term = [w, flip](std::size_t k) {
         Lanes4u v;

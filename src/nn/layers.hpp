@@ -105,8 +105,8 @@ struct BatchNormParams {
 inline int binact(float x) { return x >= 0.0f ? 1 : 0; }
 
 /// Fully-connected layer over ±1 features (the eBNN tail): logit c is
-/// Σ_i w[c][i] · s_i, with s_i = +1 for a nonzero feature and -1 for a
-/// zero one. Every class sums its features in order i = 0, 1, ..., so the
+/// Σ_i w[c][i] · s_i, with s_i = +1 for a set feature bit and -1 for a
+/// clear one. Every class sums its features in order i = 0, 1, ..., so the
 /// logits equal, bit for bit, the class-major loop
 /// `acc += w[c * n + i] * s_i` (w · (±1) is exact: a sign flip). The
 /// weights are transposed once, at construction, into blocks of kLanes
@@ -118,10 +118,12 @@ public:
   SignFc(std::span<const float> weights, std::size_t classes,
          std::size_t features);
 
-  /// Writes the logit of every class for `feature` (one value per
-  /// feature) into `logits` (one per class); throws UsageError on other
+  /// Writes the logit of every class for `feature` — the feature bits
+  /// packed as nn::bitpack_bits packs them, words_for_bits(features)
+  /// words — into `logits` (one per class); throws UsageError on other
   /// counts.
-  void logits(std::span<const int> feature, std::span<float> logits) const;
+  void logits(std::span<const std::uint32_t> feature,
+              std::span<float> logits) const;
 
   /// Output classes.
   std::size_t classes() const { return classes_; }

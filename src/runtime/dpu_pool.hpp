@@ -39,8 +39,8 @@
 // quarantine, capacity comes *back*: `maintain()` (called by every
 // KernelSession::finish) ticks the health clock, canary-probes one due
 // quarantined DPU per step and, after `probation_passes` clean probes,
-// reintegrates it — remapping again,
-// bumping `health_epoch()` so mapping-plan caches re-plan, and clearing
+// reintegrates it — remapping again, raising `plan_capacity()` so
+// mapping-plan caches keyed on it re-plan, and clearing
 // the active program so the next session re-uploads WRAM constants the
 // returning DPU never saw. `scrub_step()` (called by fault-tolerant
 // sessions between activation and their resident-hit check) re-verifies a
@@ -190,8 +190,8 @@ public:
   std::uint32_t plan_capacity() const;
 
   /// Monotone counter bumped on every capacity change — quarantine *and*
-  /// reintegration. Pipelines key their mapping-plan caches on it so plans
-  /// re-fit the true healthy capacity after either transition.
+  /// reintegration — and on every (re)allocation, which changes no
+  /// capacity the mapper sees; plan caches key on `plan_capacity()`.
   std::uint64_t health_epoch() const { return health_epoch_; }
 
   /// One maintenance step, piggybacked on warm frames: ticks the health

@@ -158,14 +158,14 @@ std::vector<map::MappingPlan> YoloRunner::layer_plans(
     const RunOptions& opts, std::uint32_t max_split) const {
   const GemmVariant variant = gemm_variant(opts.mode);
   // Health-aware capacity: both banks must run identical plans, so take
-  // the tightest allocated pool's planning view. Epochs key the memo —
-  // any capacity change (quarantine or reintegration) forces a re-plan.
+  // the tightest allocated pool's planning view. The plans depend on
+  // nothing else of the banks, so the cap keys the memo: a quarantine or
+  // reintegration that moves it re-plans, a bank's first allocation
+  // (which leaves it alone) does not.
   std::uint32_t cap = sys_.total_dpus;
-  std::uint64_t epoch_key = 0;
   for (unsigned b = 0; b < 2; ++b) {
     if (const runtime::DpuPool* p = banks_.find(b)) {
       cap = std::min(cap, p->plan_capacity());
-      epoch_key = epoch_key * 1000003 + p->health_epoch() + 1;
     }
   }
   map::Limits limits;
@@ -177,9 +177,8 @@ std::vector<map::MappingPlan> YoloRunner::layer_plans(
                     std::to_string(static_cast<int>(opts.opt)) + "/" +
                     std::to_string(opts.n_tasklets) + "/" +
                     std::to_string(opts.rows_per_dpu) + "/" +
-                    std::to_string(epoch_key) + "/" + std::to_string(cap) +
-                    "/" + std::to_string(max_split) + "/" +
-                    (mapping_env != nullptr ? mapping_env : "");
+                    std::to_string(cap) + "/" + std::to_string(max_split) +
+                    "/" + (mapping_env != nullptr ? mapping_env : "");
   if (!plan_cache_.empty() && key == plan_cache_key_) {
     obs::Metrics::instance().add("map.plan.hit");
     return plan_cache_;

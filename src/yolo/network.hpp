@@ -244,11 +244,11 @@ private:
   /// is logically const but warms the pools.
   mutable runtime::BankedExecutor banks_;
   mutable Scratch bank_scratch_[2];
-  /// layer_plans memo, keyed on the run options *and* the banks'
-  /// health epochs — quarantine and reintegration both bump an epoch, so
-  /// plans re-fit the true healthy capacity after either transition
-  /// (obs: map.plan.hit / map.plan.miss). Only touched on the dispatch
-  /// thread, before any frame task runs.
+  /// layer_plans memo, keyed on the run options and the banks' tightest
+  /// plan capacity — a quarantine or reintegration that moves it re-fits
+  /// the plans to the true healthy capacity (obs: map.plan.hit /
+  /// map.plan.miss). Only touched on the dispatch thread, before any frame
+  /// task runs.
   mutable std::vector<map::MappingPlan> plan_cache_;
   mutable std::string plan_cache_key_;
 };

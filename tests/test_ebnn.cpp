@@ -17,6 +17,7 @@
 #include "ebnn/mnist_synth.hpp"
 #include "ebnn/train.hpp"
 #include "ebnn/model.hpp"
+#include "nn/bitpack.hpp"
 
 namespace pimdnn::ebnn {
 namespace {
@@ -151,6 +152,15 @@ std::vector<std::vector<int>> tail_features(int n, std::uint64_t seed) {
   return {std::vector<int>(size, 0), std::vector<int>(size, 1), random};
 }
 
+/// `features` as the packed rows a batch result holds.
+nn::BitMatrix packed_rows(const std::vector<std::vector<int>>& features) {
+  nn::BitMatrix m(features.size(), features.at(0).size());
+  for (std::size_t r = 0; r < features.size(); ++r) {
+    m.set_row(r, features[r]);
+  }
+  return m;
+}
+
 std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
   std::vector<std::uint32_t> bits;
   for (const float x : v) {
@@ -167,13 +177,15 @@ TEST(FcTail, EbnnLogitsBitExactForAnyClassCount) {
     cfg.classes = classes;
     const auto w = EbnnWeights::random(cfg, 80 + classes);
     const EbnnReference ref(cfg, w);
-    for (const auto& feature : tail_features(cfg.feature_bits(), classes)) {
+    const auto features = tail_features(cfg.feature_bits(), classes);
+    const nn::BitMatrix rows = packed_rows(features);
+    for (std::size_t r = 0; r < features.size(); ++r) {
       std::vector<float> logits;
       std::vector<float> probs;
       int predicted = -1;
-      ref.infer_tail(feature, logits, probs, predicted);
+      ref.infer_tail(rows[r].words(), logits, probs, predicted);
       const std::vector<float> expect =
-          class_major_logits(w.fc, classes, feature);
+          class_major_logits(w.fc, classes, features[r]);
       EXPECT_EQ(float_bits(logits), float_bits(expect))
           << "classes=" << classes;
       std::vector<float> expect_probs(expect.size());
@@ -185,21 +197,23 @@ TEST(FcTail, EbnnLogitsBitExactForAnyClassCount) {
 }
 
 TEST(FcTail, DeepEbnnLogitsBitExactForAnyClassCount) {
-  // The deep tail exposes probabilities, not logits: they must be the
-  // softmax of the class-major logits, bit for bit.
   for (const int classes : {1, 10, 17}) {
     DeepEbnnConfig cfg;
     cfg.classes = classes;
     cfg.blocks = {{6}, {4}};
     const auto w = DeepEbnnWeights::random(cfg, 90 + classes);
     const DeepEbnnReference ref(cfg, w);
-    for (const auto& feature :
-         tail_features(deep_feature_bits(cfg), classes)) {
+    const auto features = tail_features(deep_feature_bits(cfg), classes);
+    const nn::BitMatrix rows = packed_rows(features);
+    for (std::size_t r = 0; r < features.size(); ++r) {
+      std::vector<float> logits;
       std::vector<float> probs;
       int predicted = -1;
-      ref.infer_tail(feature, probs, predicted);
+      ref.infer_tail(rows[r].words(), logits, probs, predicted);
       const std::vector<float> expect =
-          class_major_logits(w.fc, classes, feature);
+          class_major_logits(w.fc, classes, features[r]);
+      EXPECT_EQ(float_bits(logits), float_bits(expect))
+          << "classes=" << classes;
       std::vector<float> expect_probs(expect.size());
       nn::softmax(expect, expect_probs);
       EXPECT_EQ(float_bits(probs), float_bits(expect_probs))

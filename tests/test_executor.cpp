@@ -143,7 +143,7 @@ TEST_P(SplitParity, DeepEbnnHostMatchesPaper) {
   EXPECT_EQ(split.predicted, paper.predicted);
   EXPECT_EQ(split.features, paper.features);
   EXPECT_EQ(split.dpus_used, paper.dpus_used);
-  EXPECT_EQ(split.images_per_dpu, paper.images_per_dpu);
+  EXPECT_EQ(split.items_per_dpu, paper.items_per_dpu);
   EXPECT_EQ(split.split, chunks(paper.dpus_used, k()));
 
   const auto piped = host.run_pipelined({images});
@@ -344,6 +344,141 @@ TEST(SplitWall, MergedWallIsTheBusierBanksSum) {
   EXPECT_EQ(split2.launch.total_cycles, unsplit.launch.total_cycles);
   EXPECT_EQ(split8.launch.total_cycles, unsplit.launch.total_cycles);
   EXPECT_EQ(split8.launch.per_dpu.size(), unsplit.launch.per_dpu.size());
+}
+
+// ---- multi-block tails -----------------------------------------------------
+
+// The engine runs each chunk's tail on the host pool in core::kTailBlock
+// item blocks, concurrently. Each client gets a batch whose chunks span at
+// least three blocks, unsplit and at split=2, clean and with one chunk
+// degraded to its CPU fallback; every item must equal the golden model.
+
+/// `n_dpus` full DPUs of `per_dpu` items: an odd count whose split=2
+/// chunks (n_dpus/2 + 1 and n_dpus/2 DPUs) each hold more than two tail
+/// blocks. `bad_dpu` is the one DPU index only the first chunk's bank
+/// allocates, so marking it bad degrades that chunk alone.
+struct TailBatch {
+  std::uint32_t n_dpus = 0;
+  std::size_t items = 0;
+  std::uint32_t bad_dpu = 0;
+};
+
+TailBatch tail_batch(std::uint32_t per_dpu) {
+  const std::uint32_t half =
+      static_cast<std::uint32_t>(2 * core::kTailBlock / per_dpu + 1);
+  return {2 * half + 1, std::size_t{2 * half + 1} * per_dpu, half};
+}
+
+/// (simulator, mapping pin, degrade one chunk).
+class TailBlocks : public ::testing::TestWithParam<
+                       std::tuple<SimMode, const char*, bool>> {
+protected:
+  void SetUp() override {
+    sim::set_fault_config(sim::FaultConfig{});
+    set_default_sim_mode(std::get<0>(GetParam()));
+    obs::Metrics::instance().reset();
+  }
+  void TearDown() override {
+    sim::set_fault_config(sim::FaultConfig{});
+    set_default_sim_mode(SimMode::Interp);
+    obs::Metrics::instance().reset();
+  }
+  bool split() const { return std::string(std::get<1>(GetParam())) != "paper"; }
+
+  /// Pins the mapping and, for the faulty variant, marks `b.bad_dpu` bad.
+  ScopedMappingOverride arrange(const TailBatch& b) const {
+    if (std::get<2>(GetParam())) {
+      sim::FaultConfig faults;
+      faults.seed = 42;
+      faults.bad_dpu_mask = std::uint64_t{1} << b.bad_dpu;
+      sim::set_fault_config(faults);
+    }
+    return ScopedMappingOverride(std::get<1>(GetParam()));
+  }
+
+  /// The run's shape: its DPUs, its chunks, and one degraded chunk in the
+  /// faulty variant.
+  void expect_shape(const core::BatchStats& r, const TailBatch& b) const {
+    EXPECT_EQ(r.dpus_used, b.n_dpus);
+    EXPECT_EQ(r.split, split() ? 2u : 1u);
+    EXPECT_EQ(r.items_per_dpu, b.items / b.n_dpus);
+    const bool faulty = std::get<2>(GetParam());
+    EXPECT_EQ(obs::Metrics::instance().counter("offload.fallback"),
+              faulty ? 1u : 0u);
+    EXPECT_EQ(r.launch.cpu_fallback, faulty);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesPinsFaults, TailBlocks,
+    ::testing::Combine(::testing::Values(SimMode::Interp, SimMode::Fast),
+                       ::testing::Values("paper", "split=2"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(sim_mode_name(std::get<0>(info.param))) +
+             (std::string(std::get<1>(info.param)) == "paper" ? "_unsplit"
+                                                              : "_split2") +
+             (std::get<2>(info.param) ? "_degraded" : "_clean");
+    });
+
+TEST_P(TailBlocks, EbnnHostMatchesGoldenModel) {
+  const ebnn::EbnnConfig cfg;
+  const auto weights = ebnn::EbnnWeights::random(cfg, 42);
+  const ebnn::EbnnReference ref(cfg, weights);
+  const TailBatch b = tail_batch(ebnn::ebnn_layout(cfg).max_images);
+  const auto images = mnist(b.items, 13);
+
+  const auto pin = arrange(b);
+  ebnn::EbnnHost host(cfg, weights, ebnn::BnMode::HostLut);
+  const auto r = host.run(images);
+  expect_shape(r, b);
+  ASSERT_EQ(r.predicted.size(), images.size());
+  ASSERT_EQ(r.features.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const auto golden = ref.infer(images[i].data());
+    EXPECT_EQ(r.features[i], golden.feature) << "image " << i;
+    EXPECT_EQ(r.predicted[i], golden.predicted) << "image " << i;
+  }
+}
+
+TEST_P(TailBlocks, DeepEbnnHostMatchesGoldenModel) {
+  const ebnn::DeepEbnnConfig cfg;
+  const auto weights = ebnn::DeepEbnnWeights::random(cfg, 42);
+  const ebnn::DeepEbnnReference ref(cfg, weights);
+  const TailBatch b =
+      tail_batch(ebnn::DeepEbnnHost(cfg, weights).images_per_dpu());
+  const auto images = mnist(b.items, 14);
+
+  const auto pin = arrange(b);
+  ebnn::DeepEbnnHost host(cfg, weights);
+  const auto r = host.run(images);
+  expect_shape(r, b);
+  ASSERT_EQ(r.predicted.size(), images.size());
+  ASSERT_EQ(r.features.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const auto golden = ref.infer(images[i].data());
+    EXPECT_EQ(r.features[i], golden.feature) << "image " << i;
+    EXPECT_EQ(r.predicted[i], golden.predicted) << "image " << i;
+  }
+}
+
+TEST_P(TailBlocks, OffloaderMatchesGoldenModel) {
+  const TailBatch b = tail_batch(4);
+  const auto items = offload_items(b.items, 3);
+
+  const auto pin = arrange(b);
+  core::Offloader off = make_offloader();
+  const auto r = off.run(items);
+  expect_shape(r, b);
+  ASSERT_EQ(r.outputs.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    // make_offloader's kernel: 2x + 5 per byte, wrapping.
+    std::vector<std::uint8_t> expect(32);
+    for (std::size_t j = 0; j < 32; ++j) {
+      expect[j] = static_cast<std::uint8_t>(items[i][j] * 2 + 5);
+    }
+    EXPECT_EQ(r.outputs[i], expect) << "item " << i;
+  }
 }
 
 } // namespace

@@ -2,7 +2,9 @@
 // quantized), im2col, layers, bit packing, quantization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -292,6 +294,81 @@ TEST(Bitpack, BinaryDotMatchesScalar) {
     const auto pa = bitpack_bits(abits);
     const auto pb = bitpack_bits(bbits);
     EXPECT_EQ(binary_dot(pa, pb, n), expect) << "n=" << n;
+  }
+}
+
+TEST(Bitpack, OrBitsPacksSegmentsBackToBack) {
+  // 16 segments of 169 bits — the paper's pooled map per filter — each
+  // packed from a fresh word with its padding bits set, as DPU results
+  // may hold them: the row must read the segments back to back, and the
+  // bits past each segment must not leak in.
+  Rng rng(92);
+  const std::size_t seg = 169;
+  std::vector<int> bits(16 * seg);
+  for (int& v : bits) v = static_cast<int>(rng.next_u32() & 1);
+  BitMatrix m(1, bits.size());
+  for (std::size_t s = 0; s < 16; ++s) {
+    auto words = bitpack_bits(std::span(bits).subspan(s * seg, seg));
+    words.back() |= ~std::uint32_t{0} << (seg % 32);
+    or_bits(words, seg, m.row_words(0), s * seg);
+  }
+  EXPECT_EQ(m[0], bits);
+  const auto expect = bitpack_bits(bits);
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                         m[0].words().begin(), m[0].words().end()));
+  // Short sources and destinations throw.
+  const std::vector<std::uint32_t> one(1, ~std::uint32_t{0});
+  EXPECT_THROW(or_bits(one, 33, m.row_words(0), 0), UsageError);
+  const std::size_t past_end = m.row_words(0).size() * 32 - 31;
+  EXPECT_THROW(or_bits(one, 32, m.row_words(0), past_end), UsageError);
+}
+
+TEST(BitMatrix, RowsReadBackTheirBitsWithZeroPadding) {
+  // One bit, one word, one past it, and the eBNN feature widths of the
+  // 8-filter test config (1,352) and the paper (2,704).
+  Rng rng(91);
+  for (const std::size_t width : {1u, 32u, 33u, 1352u, 2704u}) {
+    std::vector<std::vector<int>> rows(3, std::vector<int>(width, 1));
+    for (int& v : rows[2]) v = static_cast<int>(rng.next_u32() & 1);
+    rows[1].assign(width, 0);
+    BitMatrix m(rows.size(), width);
+    ASSERT_EQ(m.size(), rows.size());
+    EXPECT_EQ(m.bits(), width);
+    EXPECT_EQ(m[0], std::vector<int>(width, 0)); // fresh rows are zero
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      m.set_row(i, rows[i]);
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const BitMatrix::Row row = m[i];
+      ASSERT_EQ(row.size(), width);
+      for (std::size_t j = 0; j < width; ++j) {
+        ASSERT_EQ(row[j], rows[i][j]) << "width " << width << " bit " << j;
+      }
+      EXPECT_EQ(row, rows[i]);
+      EXPECT_EQ(rows[i], row);
+      // Padding bits stay zero, so an all-ones row's last word holds
+      // exactly the row's tail bits.
+      ASSERT_EQ(row.words().size(), words_for_bits(width));
+      if (width % 32 != 0) {
+        EXPECT_EQ(row.words().back() >> (width % 32), 0u) << width;
+      }
+      auto flipped = rows[i];
+      flipped[width - 1] ^= 1;
+      EXPECT_FALSE(row == flipped);
+      flipped.push_back(0);
+      EXPECT_FALSE(row == flipped);
+      EXPECT_FALSE(row == std::vector<int>(width, 2));
+    }
+    EXPECT_EQ(m[0], BitMatrix::Row(m[0].words(), width));
+    EXPECT_FALSE(m[0] == m[1]);
+    BitMatrix copy = m;
+    EXPECT_EQ(copy, m);
+    auto changed = rows[2];
+    changed[0] ^= 1;
+    copy.set_row(2, changed);
+    EXPECT_FALSE(copy == m);
+    EXPECT_THROW(m.set_row(3, rows[0]), UsageError);
+    EXPECT_THROW(m.set_row(0, std::vector<int>(width + 1, 0)), UsageError);
   }
 }
 

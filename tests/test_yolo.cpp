@@ -8,6 +8,8 @@
 #include "common/rng.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
+#include "obs/metrics.hpp"
+#include "sim/fault.hpp"
 #include "yolo/config.hpp"
 #include "yolo/detect.hpp"
 #include "yolo/dpu_gemm.hpp"
@@ -578,6 +580,45 @@ TEST(YoloNetwork, LayerShapesMatchSummary) {
               static_cast<std::size_t>(ls.out_c) * ls.out_h * ls.out_w)
         << "layer " << i;
   }
+}
+
+TEST(YoloNetwork, PlanMemoKeysOnCapacityNotAllocation) {
+  // The plans depend only on the options and the banks' tightest plan
+  // capacity: the allocation the first run makes must not re-plan, and a
+  // quarantine that lowers the capacity must.
+  sim::set_fault_config(sim::FaultConfig{});
+  const auto defs = yolov3_lite_config(1, 1);
+  const auto w = YoloWeights::random(defs, 3, 408);
+  YoloRunner runner(defs, w, 3, 64, 64);
+  const auto img = make_synthetic_image(3, 64, 64, 5, 13);
+  auto& m = obs::Metrics::instance();
+  m.reset();
+  const auto clean = runner.run(img, ExecMode::DpuWram);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(runner.run(img, ExecMode::DpuWram).outputs, clean.outputs);
+  }
+  EXPECT_EQ(m.counter("map.plan.miss"), 1u);
+  EXPECT_EQ(m.counter("map.plan.hit"), 3u);
+  EXPECT_EQ(m.counter("map.plan.gemm"), 22u);
+
+  // Physical DPU 0 is bad from allocation on: a fresh runner's first run
+  // quarantines it, which lowers the capacity, so its second run re-plans
+  // and its third plans from the memo again.
+  sim::FaultConfig faults;
+  faults.bad_dpu_mask = 0x1;
+  sim::set_fault_config(faults);
+  m.reset();
+  YoloRunner faulty(defs, w, 3, 64, 64);
+  EXPECT_EQ(faulty.run(img, ExecMode::DpuWram).outputs, clean.outputs);
+  EXPECT_GT(m.counter("pool.quarantined"), 0u);
+  EXPECT_EQ(m.counter("map.plan.miss"), 1u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(faulty.run(img, ExecMode::DpuWram).outputs, clean.outputs);
+  }
+  EXPECT_EQ(m.counter("map.plan.miss"), 2u);
+  EXPECT_EQ(m.counter("map.plan.hit"), 1u);
+  sim::set_fault_config(sim::FaultConfig{});
+  m.reset();
 }
 
 TEST(YoloNetwork, WeightsValidation) {
